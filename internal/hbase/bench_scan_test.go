@@ -55,7 +55,7 @@ func BenchmarkScanMultiRegion(b *testing.B) {
 func BenchmarkMajorCompact(b *testing.B) {
 	const files, rowsPerFile = 8, 4_000
 	spec := &TableSpec{Name: "t", MaxVersions: 1, SplitThreshold: 1 << 30}
-	built := newRegion(spec, "", "")
+	built := newRegion(spec, newQualDict(), "", "")
 	for f := 0; f < files; f++ {
 		for i := 0; i < rowsPerFile; i++ {
 			// Staggered keys so files interleave and most rows need a
@@ -68,7 +68,7 @@ func BenchmarkMajorCompact(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := newRegion(spec, "", "")
+		r := newRegion(spec, built.dict, "", "")
 		r.files = append([]*hfile(nil), built.files...)
 		r.majorCompact()
 	}
@@ -99,7 +99,7 @@ func BenchmarkRowDataRead(b *testing.B) {
 func BenchmarkScanChunkMerge(b *testing.B) {
 	const rows = 8_000
 	spec := &TableSpec{Name: "t", MaxVersions: 1, SplitThreshold: 1 << 30}
-	r := newRegion(spec, "", "")
+	r := newRegion(spec, newQualDict(), "", "")
 	for f := 0; f < 4; f++ {
 		for i := f; i < rows; i += 4 {
 			r.put(scanKey(i), []Cell{put("v", fmt.Sprint(i), int64(i+1))})

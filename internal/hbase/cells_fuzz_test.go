@@ -18,7 +18,14 @@ import (
 //     the earlier (higher-precedence) part's cell wins;
 //   - last-write-wins + tombstone handling: the slice read matches the
 //     reference map read under plain, snapshot, excluded-version and
-//     projected options, and binary-search Get agrees pair for pair.
+//     projected options (and their combinations), and binary-search Get
+//     agrees pair for pair;
+//   - packed store-file rows: every part and the merged row survive a
+//     pack/decode round trip cell for cell (nil values included), and a
+//     region holding the parts as two packed store files under a memstore
+//     row reads — by point get and by scan — exactly what the []Cell row
+//     reads, under every option shape, before and after a flush and a
+//     major compaction.
 //
 // CI runs this for a short -fuzztime as a smoke step; run it longer
 // locally when touching rowdata.go or merge.go.
@@ -31,6 +38,7 @@ func FuzzCellsMerge(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x42, 0x13}, 40))
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		parts := [3]*rowData{{}, {}, {}}
+		var ops [3][]Cell // each part's cells in application order
 		for off := 0; off+3 < len(tape); off += 4 {
 			qual := fmt.Sprintf("q%d", tape[off]%8)
 			ts := int64(tape[off+1]%32) + 1
@@ -46,6 +54,7 @@ func FuzzCellsMerge(f *testing.F) {
 				c.Qualifier = "" // row tombstones live at the empty qualifier
 			}
 			parts[part].apply(c, 4)
+			ops[part] = append(ops[part], c)
 			if !sortedByCellLess(parts[part].cells) {
 				t.Fatalf("part %d unsorted after apply(%+v)", part, c)
 			}
@@ -69,11 +78,15 @@ func FuzzCellsMerge(f *testing.F) {
 			}
 		}
 
+		excluded := func(ts int64) bool { return ts%3 == 0 }
 		optsList := []ReadOpts{
 			{},
 			{ReadTS: 9},
-			{Excluded: func(ts int64) bool { return ts%3 == 0 }},
+			{Excluded: excluded},
 			{Columns: []string{"q1", "q4"}},
+			{ReadTS: 20, Excluded: excluded},
+			{ReadTS: 9, Columns: []string{"q0", "q2", "q7"}},
+			{ReadTS: 25, Excluded: excluded, Columns: []string{"q3", "q5"}},
 		}
 		for oi, opts := range optsList {
 			got := m.read(opts)
@@ -115,11 +128,13 @@ func FuzzCellsMerge(f *testing.F) {
 			}
 		}
 
+		checkPacked(t, parts, ops, m, optsList)
+
 		// Compaction must preserve the sort invariant and read equivalence
 		// for the plain view it is defined over (latest versions survive,
 		// tombstoned data does not return).
 		before := m.read(ReadOpts{})
-		mc := m.clone()
+		mc := &rowData{cells: append([]Cell(nil), m.cells...)}
 		mc.compact(1)
 		if !sortedByCellLess(mc.cells) {
 			t.Fatalf("compacted cells unsorted: %+v", mc.cells)
@@ -134,6 +149,81 @@ func FuzzCellsMerge(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkPacked is FuzzCellsMerge's packed-form phase. parts are the fuzzed
+// rows in precedence order, ops the cells that built each, m their merge.
+func checkPacked(t *testing.T, parts [3]*rowData, ops [3][]Cell, m *rowData, optsList []ReadOpts) {
+	t.Helper()
+	dict := newQualDict()
+	pk := rowPacker{dict: dict}
+	for i, rd := range append(parts[:], m) {
+		got := decodeRow(nil, pk.pack(rd.cells, 0), dict.load())
+		if len(got) != len(rd.cells) {
+			t.Fatalf("row %d: packed round trip has %d cells, want %d", i, len(got), len(rd.cells))
+		}
+		for j, c := range rd.cells {
+			g := got[j]
+			if g.Qualifier != c.Qualifier || g.TS != c.TS || g.Type != c.Type ||
+				!bytes.Equal(g.Value, c.Value) || (g.Value == nil) != (c.Value == nil) {
+				t.Fatalf("row %d cell %d: packed round trip %+v, want %+v", i, j, g, c)
+			}
+		}
+	}
+
+	// The region: the lowest-precedence part in the older store file, the
+	// middle one in the newer file, the highest in the memstore.
+	const key = "row"
+	spec := &TableSpec{Name: "t", MaxVersions: 4}
+	spec.normalize()
+	r := newRegion(spec, newQualDict(), "", "")
+	for p := len(ops) - 1; p >= 0; p-- {
+		for _, c := range ops[p] {
+			r.put(key, []Cell{c})
+		}
+		if p > 0 {
+			r.flush()
+		}
+	}
+	requireRegionReads := func(stage string, want *rowData, opts []ReadOpts) {
+		t.Helper()
+		for oi, o := range opts {
+			ref := want.read(o)
+			got := r.get(key, o).Cells
+			requireSamePairs(t, fmt.Sprintf("%s opts %d get", stage, oi), got, ref)
+			buf := &chunkBuf{}
+			r.scanChunk(buf, "", 0, o, nil)
+			var scanned Cells
+			if len(buf.rows) > 0 {
+				scanned = buf.rows[0].Cells
+			}
+			requireSamePairs(t, fmt.Sprintf("%s opts %d scan", stage, oi), scanned, ref)
+		}
+	}
+	requireRegionReads("memstore+files", m, optsList)
+	r.flush()
+	requireRegionReads("files", m, optsList)
+	r.majorCompact()
+	compacted := &rowData{cells: append([]Cell(nil), m.cells...)}
+	compacted.compact(4)
+	requireRegionReads("compacted", compacted, optsList[:1])
+	if got, want := r.sizeBytes(), compacted.sizeBytes(key); got != want {
+		t.Fatalf("compacted region holds %d KeyValue bytes, the compacted row %d", got, want)
+	}
+}
+
+// requireSamePairs fails unless two materialized rows are pair-for-pair
+// identical.
+func requireSamePairs(t *testing.T, where string, got, want Cells) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pairs, want %d (%v vs %v)", where, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i].Qualifier != want[i].Qualifier || !bytes.Equal(got[i].Value, want[i].Value) {
+			t.Fatalf("%s: pair %d = %s=%q, want %s=%q", where, i, got[i].Qualifier, got[i].Value, want[i].Qualifier, want[i].Value)
+		}
+	}
 }
 
 // sortedByCellLess reports whether cells are in non-decreasing cellLess

@@ -58,6 +58,25 @@ func readRefMap(r *rowData, opts ReadOpts) map[string][]byte {
 	return out
 }
 
+// rawRowLocked assembles every retained cell version of key across the
+// region's memstore and packed store files, in precedence order, or nil
+// when no source holds the key. Caller holds r.mu.
+func rawRowLocked(r *Region, key string) *rowData {
+	var parts []*rowData
+	if rd := r.mem.rows[key]; rd != nil {
+		parts = append(parts, rd)
+	}
+	for _, f := range r.files {
+		if p, ok := f.find(key); ok {
+			parts = append(parts, &rowData{cells: decodeRow(nil, p, r.dict.load())})
+		}
+	}
+	if len(parts) == 0 {
+		return nil
+	}
+	return merged(parts...)
+}
+
 // requireCellsMatchRef fails unless the slice read equals the reference map
 // read: same qualifiers, same values, strictly sorted.
 func requireCellsMatchRef(t testing.TB, where string, got Cells, want map[string][]byte) {
@@ -97,7 +116,7 @@ func TestSliceMapParityStoreDump(t *testing.T) {
 			key := scanKey(i)
 			r := t1.regionFor(key)
 			r.mu.RLock()
-			rd := r.lookupLocked(key)
+			rd := rawRowLocked(r, key)
 			var want map[string][]byte
 			if rd != nil {
 				want = readRefMap(rd, opts)

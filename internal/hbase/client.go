@@ -269,7 +269,7 @@ func (c *Client) Increment(ctx *sim.Ctx, tbl, key, qualifier string, delta int64
 	c.hc.cl.RPC(ctx, c.node, srv, len(key)+len(qualifier)+16)
 	c.hc.walAppend(ctx, srv, len(key)+len(qualifier)+16)
 	c.hc.serverWork(ctx, srv, c.hc.costs.GetSeek+c.hc.costs.PutApply)
-	return r.increment(key, qualifier, delta, c.hc.NextTS()), nil
+	return r.increment(key, qualifier, delta, c.hc.NextTS), nil
 }
 
 // CheckAndPut atomically puts cell iff the current value of (key, qualifier)
@@ -282,13 +282,10 @@ func (c *Client) CheckAndPut(ctx *sim.Ctx, tbl, key, qualifier string, expected 
 	}
 	r := t.regionFor(key)
 	srv := r.Server()
-	if cell.TS == 0 {
-		cell.TS = c.hc.NextTS()
-	}
 	bytes := len(key) + len(cell.Qualifier) + len(cell.Value) + len(expected) + kvOverhead
 	c.hc.cl.RPC(ctx, c.node, srv, bytes)
 	c.hc.serverWork(ctx, srv, c.hc.costs.CheckAndPut)
-	ok := r.checkAndPut(key, qualifier, expected, cell)
+	ok := r.checkAndPut(key, qualifier, expected, cell, c.hc.NextTS)
 	if ok {
 		c.hc.walAppend(ctx, srv, bytes)
 		c.hc.serverWork(ctx, srv, c.hc.costs.PutApply)

@@ -511,3 +511,73 @@ func TestTableBytesAccounting(t *testing.T) {
 		t.Fatalf("TotalBytes = %d, want %d", hc.TotalBytes(), got)
 	}
 }
+
+// TestTableBytesStableAcrossFlushSplitCompact pins KeyValue accounting as
+// independent of the row representation: the same cells report the same
+// TableBytes/TotalBytes in the mutable memstore form, after a flush packs
+// them into store files, after the flush splits the table, and after a
+// major compaction rewrites them — and a bulk-loaded table agrees with the
+// Σ KVSize of what it loaded.
+func TestTableBytesStableAcrossFlushSplitCompact(t *testing.T) {
+	hc := newTestCluster(t)
+	mustCreate(t, hc, TableSpec{Name: "t", SplitThreshold: 40})
+	mustCreate(t, hc, TableSpec{Name: "bulk"})
+	c := hc.NewWarmClient()
+	ctx := sim.NewCtx()
+	var want int64
+	var bulk []BulkRow
+	for i := 0; i < 100; i++ {
+		key := scanKey(i)
+		cells := []Cell{
+			put("a", fmt.Sprintf("value-%d", i), 0),
+			put("long-qualifier", fmt.Sprint(i*i), 0),
+			{Qualifier: "nil"}, // a nil value still costs its key
+			{Qualifier: "empty", Value: []byte{}},
+		}
+		if err := c.Put(ctx, "t", key, cells); err != nil {
+			t.Fatal(err)
+		}
+		bulk = append(bulk, BulkRow{Key: key, Cells: cells})
+		for _, cell := range cells {
+			want += KVSize(key, cell)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		if got := hc.TableBytes("t"); got != want {
+			t.Fatalf("%s: TableBytes = %d, want %d", stage, got, want)
+		}
+	}
+	check("memstore")
+	if err := hc.FlushTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if n := hc.RegionCount("t"); n < 2 {
+		t.Fatalf("flush left %d region(s), want a split", n)
+	}
+	check("flushed and split")
+	if err := hc.MajorCompact("t"); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted")
+
+	if err := hc.BulkLoad("bulk", bulk); err != nil {
+		t.Fatal(err)
+	}
+	if got := hc.TableBytes("bulk"); got != want {
+		t.Fatalf("bulk load: TableBytes = %d, want %d", got, want)
+	}
+	if got := hc.TotalBytes(); got != 2*want {
+		t.Fatalf("TotalBytes = %d, want %d", got, 2*want)
+	}
+	row, err := c.Get(ctx, "t", scanKey(7), ReadOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := row.Get("nil"); v != nil {
+		t.Fatalf("nil value read back as %q (non-nil)", v)
+	}
+	if v := row.Get("empty"); v == nil || len(v) != 0 {
+		t.Fatalf("empty value read back as %#v, want non-nil empty", v)
+	}
+}

@@ -24,6 +24,7 @@ var (
 type table struct {
 	mu      sync.RWMutex
 	spec    TableSpec
+	dict    *qualDict // qualifier ids of every packed store-file row
 	regions []*Region
 
 	// gen is the table's region-layout generation, bumped on every split and
@@ -161,7 +162,7 @@ func (hc *HCluster) CreateTable(spec TableSpec) error {
 	if _, dup := hc.tables[spec.Name]; dup {
 		return fmt.Errorf("%w: %s", ErrTableExists, spec.Name)
 	}
-	t := &table{spec: spec}
+	t := &table{spec: spec, dict: newQualDict()}
 	bounds := append([]string{""}, spec.SplitKeys...)
 	sort.Strings(bounds)
 	for i, start := range bounds {
@@ -169,7 +170,7 @@ func (hc *HCluster) CreateTable(spec TableSpec) error {
 		if i+1 < len(bounds) {
 			end = bounds[i+1]
 		}
-		r := newRegion(&t.spec, start, end)
+		r := newRegion(&t.spec, t.dict, start, end)
 		r.setServer(hc.assignServer())
 		t.regions = append(t.regions, r)
 	}
@@ -428,7 +429,10 @@ type BulkRow struct {
 // BulkLoad writes pre-sorted rows directly as store files, bypassing the WAL
 // and memstore — the standard HBase bulk-load path used to populate the
 // benchmark database. Rows must be sorted by key; cells with zero timestamps
-// receive load-time stamps.
+// receive load-time stamps. A row of unstamped puts in ascending qualifier
+// order (what phoenix.RowToCells emits) is packed as given, with no
+// intermediate cell list; any other row, and repeated keys, go through the
+// memstore's insertion path first.
 func (hc *HCluster) BulkLoad(name string, rows []BulkRow) error {
 	t, err := hc.lookup(name)
 	if err != nil {
@@ -459,21 +463,37 @@ func (hc *HCluster) BulkLoad(name string, rows []BulkRow) error {
 		chunk := rows[idx:end]
 		idx = end
 		hrows := make([]hrow, 0, len(chunk))
-		var prev *hrow
-		for _, br := range chunk {
-			rd := &rowData{cells: make([]Cell, 0, len(br.Cells))}
-			for _, c := range br.Cells {
-				if c.TS == 0 {
-					c.TS = ts
+		pk := rowPacker{dict: t.dict}
+		for i := 0; i < len(chunk); {
+			j := i + 1
+			for j < len(chunk) && chunk[j].Key == chunk[i].Key {
+				j++
+			}
+			var packed []byte
+			if j == i+1 && directPackable(chunk[i].Cells) {
+				packed = pk.pack(chunk[i].Cells, ts)
+			} else {
+				// Earlier rows of a repeated key take precedence on
+				// coordinate ties, as the stable merge guarantees.
+				var rd *rowData
+				for _, br := range chunk[i:j] {
+					part := &rowData{cells: make([]Cell, 0, len(br.Cells))}
+					for _, c := range br.Cells {
+						if c.TS == 0 {
+							c.TS = ts
+						}
+						part.apply(c, t.spec.MaxVersions)
+					}
+					if rd == nil {
+						rd = part
+					} else {
+						rd = merged(rd, part)
+					}
 				}
-				rd.apply(c, t.spec.MaxVersions)
+				packed = pk.pack(rd.cells, 0)
 			}
-			if prev != nil && prev.key == br.Key {
-				prev.data = merged(prev.data, rd)
-				continue
-			}
-			hrows = append(hrows, hrow{key: br.Key, data: rd})
-			prev = &hrows[len(hrows)-1]
+			hrows = append(hrows, hrow{key: chunk[i].Key, packed: packed})
+			i = j
 		}
 		r.mu.Lock()
 		r.files = append([]*hfile{{rows: hrows}}, r.files...)

@@ -18,13 +18,6 @@ type mergeSource struct {
 	mem  map[string]*rowData // memstore rows
 }
 
-func (s *mergeSource) data() *rowData {
-	if s.rows != nil {
-		return s.rows[s.pos].data
-	}
-	return s.mem[s.key]
-}
-
 // advance moves to the next row, reporting false when the source is drained.
 func (s *mergeSource) advance() bool {
 	s.pos++
@@ -58,22 +51,29 @@ func (s *mergeSource) left() int {
 // allocate a fresh heap, source set and parts scratch, which made the merger
 // the read path's second allocation hot spot after row materialization.
 // newRowMerger draws from the package pool and release returns the merger;
-// the heap, the source backing array, the parts scratch and the multi-part
-// cell scratch all keep their capacity across folds.
+// the heap, the source backing array, the parts scratch, the per-file decode
+// scratch and the multi-part cell scratch all keep their capacity across
+// folds.
 type rowMerger struct {
 	heap    []*mergeSource
 	parts   []*rowData    // scratch, reused across next calls
+	packed  [][]byte      // packed form of each store-file part (nil for the memstore)
 	srcs    []mergeSource // backing storage for heap entries, reused across folds
+	dec     []rowData     // per-file decode scratch, indexed by file
+	names   []string      // the table's qualifier dictionary
 	scratch rowData       // reusable output row for multi-part cell merges
 }
 
 var mergerPool = sync.Pool{New: func() any { return new(rowMerger) }}
 
 // newRowMerger positions every non-empty source at the first key >= start.
-// mem may be nil (compaction merges store files only). The merger comes from
-// the package pool; callers must release() it when the fold is done.
-func newRowMerger(mem *memStore, files []*hfile, start string) *rowMerger {
+// mem may be nil (compaction merges store files only); names is the table's
+// qualifier dictionary. The merger comes from the package pool; callers must
+// release() it when the fold is done.
+func newRowMerger(mem *memStore, files []*hfile, names []string, start string) *rowMerger {
 	m := mergerPool.Get().(*rowMerger)
+	m.names = names
+	m.reserve(len(files))
 	// Reserve the source backing array up front: the heap holds pointers
 	// into it, so it must never reallocate while sources are being added.
 	if need := len(files) + 1; cap(m.srcs) < need {
@@ -101,13 +101,32 @@ func newRowMerger(mem *memStore, files []*hfile, start string) *rowMerger {
 	return m
 }
 
+// reserve sizes the decode scratch for files store files. Parts point into
+// it, so it must not reallocate while a row is being assembled.
+func (m *rowMerger) reserve(files int) {
+	if len(m.dec) < files {
+		m.dec = append(m.dec, make([]rowData, files-len(m.dec))...)
+	}
+}
+
+// decode unpacks file i's packed row into that file's scratch row and
+// records the packed form alongside, for compaction to reuse. The row is
+// valid until the next decode for the same file or release.
+func (m *rowMerger) decode(i int, p []byte) *rowData {
+	rd := &m.dec[i]
+	rd.cells = decodeRow(rd.cells, p, m.names)
+	m.packed = append(m.packed, p)
+	return rd
+}
+
 // release returns the merger to the package pool for the next chunk or
 // compaction fold. Every reference into region data (memstore maps, store
-// file rows, part rowDatas) is dropped first so an idle pooled merger never
-// pins a store. The scratch row's cells are NOT cleared — rows handed out
-// via foldParts are dead by release time (scanChunk has copied the visible
-// pairs out; compaction clones multi-part rows), and keeping the capacity is
-// the point of pooling.
+// file rows, part rowDatas, packed rows, the dictionary) is dropped first
+// so an idle pooled merger never pins a store. The decoded and scratch rows'
+// cells are NOT cleared — rows handed out via decode and foldParts are dead
+// by release time (scanChunk and point reads have copied the visible pairs
+// out; compaction has re-packed or carried over the packed row), and keeping
+// the capacity is the point of pooling.
 func (m *rowMerger) release() {
 	clear(m.srcs[:cap(m.srcs)])
 	m.srcs = m.srcs[:0]
@@ -115,6 +134,9 @@ func (m *rowMerger) release() {
 	m.heap = m.heap[:0]
 	clear(m.parts[:cap(m.parts)])
 	m.parts = m.parts[:0]
+	clear(m.packed[:cap(m.packed)])
+	m.packed = m.packed[:0]
+	m.names = nil
 	mergerPool.Put(m)
 }
 
@@ -136,16 +158,25 @@ func (m *rowMerger) remaining() int {
 }
 
 // next pops the smallest key and every source part carrying it, in rank
-// order. The returned parts slice is reused by the following next call.
+// order. Store-file parts are decoded into the merger's per-file scratch,
+// and m.packed holds each part's packed form (nil for the memstore part).
+// The returned parts, their cells and m.packed are reused by the following
+// next call.
 func (m *rowMerger) next() (key string, parts []*rowData, ok bool) {
 	if len(m.heap) == 0 {
 		return "", nil, false
 	}
 	key = m.heap[0].key
 	m.parts = m.parts[:0]
+	m.packed = m.packed[:0]
 	for len(m.heap) > 0 && m.heap[0].key == key {
 		src := m.heap[0]
-		m.parts = append(m.parts, src.data())
+		if src.rows != nil {
+			m.parts = append(m.parts, m.decode(src.rank-1, src.rows[src.pos].packed))
+		} else {
+			m.parts = append(m.parts, src.mem[src.key])
+			m.packed = append(m.packed, nil)
+		}
 		if src.advance() {
 			m.siftDown(0)
 		} else {

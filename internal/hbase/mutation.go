@@ -279,7 +279,7 @@ func (c *Client) applyGroup(ctx *sim.Ctx, g *regionGroup) {
 			m := &chunk[i]
 			switch {
 			case m.CheckAndPut:
-				if g.region.checkAndPut(m.Key, m.CheckQualifier, m.CheckExpected, m.Cells[0]) {
+				if g.region.checkAndPut(m.Key, m.CheckQualifier, m.CheckExpected, m.Cells[0], c.hc.NextTS) {
 					hc.serverWork(ctx, srv, hc.costs.PutApply)
 					walBytes += m.bytes()
 					walMuts++

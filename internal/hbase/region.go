@@ -8,10 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// hrow is one row inside an immutable store file.
+// hrow is one row inside an immutable store file: its key and its cells in
+// the packed form (see packed.go).
 type hrow struct {
-	key  string
-	data *rowData
+	key    string
+	packed []byte
 }
 
 // hfile is an immutable, sorted store file produced by a memstore flush,
@@ -24,12 +25,12 @@ func (f *hfile) seek(key string) int {
 	return sort.Search(len(f.rows), func(i int) bool { return f.rows[i].key >= key })
 }
 
-func (f *hfile) find(key string) *rowData {
+func (f *hfile) find(key string) ([]byte, bool) {
 	i := f.seek(key)
 	if i < len(f.rows) && f.rows[i].key == key {
-		return f.rows[i].data
+		return f.rows[i].packed, true
 	}
-	return nil
+	return nil, false
 }
 
 // memStore is the in-memory write buffer of a region.
@@ -75,6 +76,7 @@ func (m *memStore) len() int { return len(m.rows) }
 type Region struct {
 	mu    sync.RWMutex
 	spec  *TableSpec
+	dict  *qualDict // the table's qualifier dictionary, shared by its regions
 	start string
 	end   string
 	mem   *memStore
@@ -101,8 +103,8 @@ type Region struct {
 	daughters []*Region
 }
 
-func newRegion(spec *TableSpec, start, end string) *Region {
-	return &Region{spec: spec, start: start, end: end, mem: newMemStore()}
+func newRegion(spec *TableSpec, dict *qualDict, start, end string) *Region {
+	return &Region{spec: spec, dict: dict, start: start, end: end, mem: newMemStore()}
 }
 
 // Server reports the region server currently hosting the region.
@@ -144,24 +146,31 @@ func (r *Region) contains(key string) bool {
 	return r.end == "" || key < r.end
 }
 
-// getLocked assembles the merged rowData for a key. Caller holds r.mu.
-func (r *Region) lookupLocked(key string) *rowData {
-	var parts []*rowData
+// readLocked materializes the visible cells of one key as a fresh,
+// caller-stable slice (nil when nothing is visible), merging the memstore
+// row with every store file's packed row. The decode and merge scratch
+// comes from the merger pool. Caller holds r.mu.
+func (r *Region) readLocked(key string, opts ReadOpts) Cells {
+	m := mergerPool.Get().(*rowMerger)
+	defer m.release()
+	m.names = r.dict.load()
+	m.reserve(len(r.files))
 	if rd := r.mem.rows[key]; rd != nil {
-		parts = append(parts, rd)
+		m.parts = append(m.parts, rd)
+		m.packed = append(m.packed, nil)
 	}
-	for _, f := range r.files {
-		if rd := f.find(key); rd != nil {
-			parts = append(parts, rd)
+	for i, f := range r.files {
+		if p, ok := f.find(key); ok {
+			m.parts = append(m.parts, m.decode(i, p))
 		}
 	}
-	switch len(parts) {
+	switch len(m.parts) {
 	case 0:
 		return nil
 	case 1:
-		return parts[0]
+		return m.parts[0].read(opts)
 	default:
-		return merged(parts...)
+		return m.foldParts(m.parts).read(opts)
 	}
 }
 
@@ -170,11 +179,7 @@ func (r *Region) get(key string, opts ReadOpts) RowResult {
 	r.recordRead(1)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	rd := r.lookupLocked(key)
-	if rd == nil {
-		return RowResult{Key: key}
-	}
-	return RowResult{Key: key, Cells: rd.read(opts)}
+	return RowResult{Key: key, Cells: r.readLocked(key, opts)}
 }
 
 // daughterFor returns the daughter owning key when the region has split, or
@@ -227,19 +232,24 @@ func (r *Region) deleteRow(key string, ts int64, qualifiers []string) {
 
 // checkAndPut atomically compares the current visible value of (key,
 // qualifier) with expected (nil = must be absent) and applies the cell on
-// match. Returns whether the put was applied.
-func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell) bool {
+// match. Returns whether the put was applied. An unstamped cell takes its
+// timestamp from stamp inside the region's critical section, as a region
+// server stamps under its row lock: a stamp drawn before the lock could lose
+// the race to a concurrent writer's later stamp, and the applied cell would
+// then sit below that writer's version — a compare-and-set whose winner
+// reads back the loser's value.
+func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell, stamp func() int64) bool {
 	r.mu.Lock()
 	if d := r.daughterFor(key); d != nil {
 		r.mu.Unlock()
-		return d.checkAndPut(key, qualifier, expected, c)
+		return d.checkAndPut(key, qualifier, expected, c, stamp)
 	}
 	defer r.mu.Unlock()
-	r.recordWrite(1)
-	var current []byte
-	if rd := r.lookupLocked(key); rd != nil {
-		current = rd.read(ReadOpts{}).Get(qualifier)
+	if c.TS == 0 {
+		c.TS = stamp()
 	}
+	r.recordWrite(1)
+	current := r.readLocked(key, ReadOpts{}).Get(qualifier)
 	if !bytes.Equal(current, expected) {
 		return false
 	}
@@ -249,20 +259,20 @@ func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell) boo
 }
 
 // increment atomically adds delta to a counter column and returns the new
-// value.
-func (r *Region) increment(key, qualifier string, delta int64, ts int64) int64 {
+// value. The new version is stamped inside the critical section, for the
+// reason checkAndPut gives.
+func (r *Region) increment(key, qualifier string, delta int64, stamp func() int64) int64 {
 	r.mu.Lock()
 	if d := r.daughterFor(key); d != nil {
 		r.mu.Unlock()
-		return d.increment(key, qualifier, delta, ts)
+		return d.increment(key, qualifier, delta, stamp)
 	}
 	defer r.mu.Unlock()
+	ts := stamp()
 	r.recordWrite(1)
 	var cur int64
-	if rd := r.lookupLocked(key); rd != nil {
-		if v := rd.read(ReadOpts{}).Get(qualifier); len(v) == 8 {
-			cur = int64(binary.BigEndian.Uint64(v))
-		}
+	if v := r.readLocked(key, ReadOpts{}).Get(qualifier); len(v) == 8 {
+		cur = int64(binary.BigEndian.Uint64(v))
 	}
 	cur += delta
 	buf := make([]byte, 8)
@@ -284,7 +294,7 @@ func (r *Region) scanChunk(buf *chunkBuf, start string, limit int, opts ReadOpts
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 
-	m := newRowMerger(r.mem, r.files, start)
+	m := newRowMerger(r.mem, r.files, r.dict.load(), start)
 	defer m.release()
 	need := m.remaining()
 	if limit > 0 && limit < need {
@@ -323,7 +333,7 @@ func (r *Region) scanChunk(buf *chunkBuf, start string, limit int, opts ReadOpts
 	return examined, buf.rows[len(buf.rows)-1].Key + "\x00"
 }
 
-// flush moves the memstore into a new immutable store file.
+// flush packs the memstore into a new immutable store file.
 func (r *Region) flush() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -334,10 +344,11 @@ func (r *Region) flushLocked() {
 	if r.mem.len() == 0 {
 		return
 	}
-	keys := append([]string(nil), r.mem.sortedKeys()...)
+	keys := r.mem.sortedKeys()
 	rows := make([]hrow, 0, len(keys))
+	pk := rowPacker{dict: r.dict}
 	for _, k := range keys {
-		rows = append(rows, hrow{key: k, data: r.mem.rows[k]})
+		rows = append(rows, hrow{key: k, packed: pk.pack(r.mem.rows[k].cells, 0)})
 	}
 	// Newest file first so same-coordinate duplicates resolve toward
 	// recent data.
@@ -347,7 +358,9 @@ func (r *Region) flushLocked() {
 
 // majorCompact merges memstore and all store files into one file, dropping
 // tombstones and surplus versions (§IX: experiments major-compact after
-// database population).
+// database population). A row held by one file that compaction leaves
+// unchanged keeps its packed bytes: dictionary ids never change, so the
+// blob is carried over by pointer, not re-encoded.
 func (r *Region) majorCompact() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -355,24 +368,31 @@ func (r *Region) majorCompact() {
 	if len(r.files) == 0 {
 		return
 	}
-	// Heap-based k-way merge of the sorted store files.
-	m := newRowMerger(nil, r.files, "")
+	// Heap-based k-way merge of the sorted store files. Every part is the
+	// merger's decoded scratch (there is no memstore source), so compact
+	// may rewrite it in place.
+	m := newRowMerger(nil, r.files, r.dict.load(), "")
 	defer m.release()
 	out := make([]hrow, 0, m.remaining())
+	pk := rowPacker{dict: r.dict}
 	for {
 		key, parts, ok := m.next()
 		if !ok {
 			break
 		}
-		var rd *rowData
-		if len(parts) == 1 {
-			rd = parts[0].clone()
-		} else {
-			rd = &rowData{cells: mergeCellsInto(nil, parts)}
+		rd := parts[0]
+		if len(parts) > 1 {
+			rd = m.foldParts(parts)
 		}
+		n := len(rd.cells)
 		rd.compact(r.spec.MaxVersions)
-		if !rd.empty() {
-			out = append(out, hrow{key: key, data: rd})
+		switch {
+		case rd.empty():
+			continue
+		case len(parts) == 1 && len(rd.cells) == n:
+			out = append(out, hrow{key: key, packed: m.packed[0]})
+		default:
+			out = append(out, hrow{key: key, packed: pk.pack(rd.cells, 0)})
 		}
 	}
 	r.files = []*hfile{{rows: out}}
@@ -399,9 +419,12 @@ func (r *Region) sizeBytes() int64 {
 	for k, rd := range r.mem.rows {
 		total += rd.sizeBytes(k)
 	}
+	names := r.dict.load()
+	var scratch rowData
 	for _, f := range r.files {
 		for _, hr := range f.rows {
-			total += hr.data.sizeBytes(hr.key)
+			scratch.cells = decodeRow(scratch.cells, hr.packed, names)
+			total += scratch.sizeBytes(hr.key)
 		}
 	}
 	return total
@@ -440,8 +463,8 @@ func (r *Region) split(key string) (*Region, *Region) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.flushLocked()
-	left := newRegion(r.spec, r.start, key)
-	right := newRegion(r.spec, key, r.end)
+	left := newRegion(r.spec, r.dict, r.start, key)
+	right := newRegion(r.spec, r.dict, key, r.end)
 	for _, f := range r.files {
 		cut := f.seek(key)
 		if cut > 0 {

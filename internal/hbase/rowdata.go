@@ -199,12 +199,6 @@ func (r *rowData) sizeBytes(key string) int64 {
 // empty reports whether no cells remain.
 func (r *rowData) empty() bool { return len(r.cells) == 0 }
 
-// clone deep-copies the cell index (values are immutable by convention and
-// shared).
-func (r *rowData) clone() *rowData {
-	return &rowData{cells: append([]Cell(nil), r.cells...)}
-}
-
 // merged returns a rowData combining the parts' cells in sort order. Parts
 // must be given in precedence order (memstore first, then files newest
 // first); the underlying merge is linear over the already-sorted parts

@@ -46,6 +46,12 @@ type commitRec struct {
 	writes map[string]struct{}
 }
 
+// stampBlock is the timestamp block [start, end] one validated commit
+// reserved: its flush watermark plus every cell stamp it handed out.
+type stampBlock struct{ start, end int64 }
+
+func (b stampBlock) holds(ts int64) bool { return ts >= b.start && ts <= b.end }
+
 // Validator is the commit-time validation service. Unlike the MVCC layer's
 // transaction server it is not on the read path: Begin fetches one timestamp,
 // reads carry no per-cell filter closures, and only commit pays a validation
@@ -61,10 +67,11 @@ type Validator struct {
 	// active tracks in-flight transactions; their snapshots bound how far
 	// back committed write sets must be retained.
 	active map[*Tx]struct{}
-	// flushing holds the flush-start watermarks of validated commits whose
-	// batch flush has not finished: new snapshots stay below them so no
-	// reader ever observes half of a multi-region commit.
-	flushing  map[int64]struct{}
+	// flushing maps the flush-start watermark of every validated commit
+	// whose batch flush has not finished to the last stamp it reserved: new
+	// transactions hide those blocks so no reader ever observes half of a
+	// multi-region commit.
+	flushing  map[int64]int64
 	committed []commitRec
 	// writeIdx maps every key in a retained committed write set to the
 	// newest retained commit that wrote it. Point validation probes it —
@@ -74,8 +81,14 @@ type Validator struct {
 	// slice remains the source of truth for range (phantom) validation and
 	// for rebuilding the index on the rare AbandonFlush.
 	writeIdx map[string]int64
+	// escalated is the transaction running under the escalation lock (see
+	// BeginEscalated), nil when none is; every other transaction's
+	// validation waits on cond while it is set. escMu queues escalations.
+	escalated *Tx
+	escMu     sync.Mutex
+	cond      *sync.Cond
 	// stats
-	begun, commits, aborts, conflicts int64
+	begun, commits, aborts, conflicts, escalations int64
 }
 
 // ActiveTxns reports the number of in-flight transactions — snapshots that
@@ -101,13 +114,15 @@ func NewValidatorWithOracle(costs *sim.Costs, next func() int64) *Validator {
 	if costs == nil {
 		costs = sim.DefaultCosts()
 	}
-	return &Validator{
+	v := &Validator{
 		costs:    costs,
 		next:     next,
 		active:   map[*Tx]struct{}{},
-		flushing: map[int64]struct{}{},
+		flushing: map[int64]int64{},
 		writeIdx: map[string]int64{},
 	}
+	v.cond = sync.NewCond(&v.mu)
+	return v
 }
 
 // Tx is one in-flight optimistic transaction: a begin-timestamp snapshot, a
@@ -116,9 +131,13 @@ func NewValidatorWithOracle(costs *sim.Costs, next func() int64) *Validator {
 // transaction's goroutine; the validator only touches them under its mutex
 // during Begin/Validate/Abort.
 type Tx struct {
-	v      *Validator
-	begin  int64 // oracle timestamp at begin
-	snap   int64 // snapshot horizon (<= begin, lowered by in-flight flushes)
+	v     *Validator
+	begin int64 // oracle timestamp at begin
+	snap  int64 // snapshot horizon (<= begin, lowered by in-flight flushes)
+	// hidden are the stamp blocks of commits still flushing at begin: reads
+	// see every cell stamped at or below begin except those, and a write
+	// set published by one of them conflicts at validation.
+	hidden []stampBlock
 	rs     ReadSet
 	writes map[string]struct{}
 	// commitStart is the flush watermark allocated at validation; 0 until
@@ -128,18 +147,74 @@ type Tx struct {
 }
 
 // Begin starts a transaction: one oracle round trip for the begin timestamp.
-// The snapshot horizon is the begin timestamp lowered below the watermark of
-// any commit still flushing, so a half-applied commit is invisible in its
-// entirety rather than partially visible.
+// Reads see every commit finalized before begin. A commit still flushing is
+// hidden in its entirety (its stamp block), rather than partially visible;
+// commits that finalized after it validated stay visible, so a connection
+// always reads its own previous commit even while another connection's
+// older commit is mid-flush.
 func (v *Validator) Begin(ctx *sim.Ctx) *Tx {
 	ctx.Charge(v.costs.OCCBegin)
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	return v.beginLocked()
+}
+
+func (v *Validator) beginLocked() *Tx {
 	v.begun++
 	begin := v.next()
 	t := &Tx{v: v, begin: begin, snap: v.horizonLocked(begin), writes: map[string]struct{}{}}
+	for start, end := range v.flushing {
+		t.hidden = append(t.hidden, stampBlock{start, end})
+	}
 	v.active[t] = struct{}{}
 	return t
+}
+
+// BeginEscalated starts a transaction that cannot lose validation: the
+// progress guarantee for a transaction that keeps losing to concurrent
+// commits. It takes the escalation lock — the pessimistic fallback at the
+// top of the lock hierarchy, covering every root — waits for every commit
+// in flight to finish flushing, and holds off every other transaction's
+// validation until it validates or aborts. Nothing can then commit between
+// its snapshot and its validation, so its validation passes. Escalated
+// transactions queue behind one another; transactions that are executing
+// optimistically are not disturbed, only their commits wait. The wait
+// charges no simulated time.
+func (v *Validator) BeginEscalated(ctx *sim.Ctx) *Tx {
+	ctx.Charge(v.costs.OCCBegin)
+	v.escMu.Lock()
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.escalated = escalating
+	for len(v.flushing) > 0 {
+		v.cond.Wait()
+	}
+	t := v.beginLocked()
+	v.escalated = t
+	v.escalations++
+	return t
+}
+
+// escalating marks the escalation lock as taken while its holder drains the
+// commits in flight, before its transaction exists.
+var escalating = new(Tx)
+
+// waitEscalationLocked blocks a validation while another transaction holds
+// the escalation lock. Caller holds v.mu.
+func (v *Validator) waitEscalationLocked(t *Tx) {
+	for v.escalated != nil && v.escalated != t {
+		v.cond.Wait()
+	}
+}
+
+// endEscalationLocked releases the escalation lock if t holds it. Caller
+// holds v.mu.
+func (v *Validator) endEscalationLocked(t *Tx) {
+	if v.escalated == t {
+		v.escalated = nil
+		v.cond.Broadcast()
+		v.escMu.Unlock()
+	}
 }
 
 // SnapshotTS returns a fresh read snapshot horizon without registering a
@@ -166,14 +241,41 @@ func (v *Validator) horizonLocked(begin int64) int64 {
 	return snap
 }
 
-// Snapshot reports the transaction's snapshot horizon: cells stamped above
-// it are invisible to the transaction's reads.
+// Snapshot reports the transaction's snapshot horizon: the begin timestamp
+// lowered below the watermark of every commit that was flushing at begin.
+// Every commit at or below it is visible to the transaction's reads, so it
+// is the read point watermark waits use and the bound that keeps committed
+// write sets retained for validation.
 func (t *Tx) Snapshot() int64 { return t.snap }
 
 // ReadOpts returns the snapshot visibility filter for the transaction's
-// reads: everything committed at or below the snapshot horizon, plus the
-// synthetic overlay timestamps of the transaction's own buffered writes.
-func (t *Tx) ReadOpts() hbase.ReadOpts { return hbase.SnapshotRead(t.snap) }
+// reads: everything committed at or below the begin timestamp except the
+// stamp blocks of commits that were still flushing, plus the synthetic
+// overlay timestamps of the transaction's own buffered writes.
+func (t *Tx) ReadOpts() hbase.ReadOpts {
+	opts := hbase.SnapshotRead(t.begin)
+	if len(t.hidden) == 0 {
+		return opts
+	}
+	beyondBegin := opts.Excluded
+	opts.Excluded = func(ts int64) bool { return beyondBegin(ts) || t.hiddenTS(ts) }
+	return opts
+}
+
+// hiddenTS reports whether ts lies in the stamp block of a commit that was
+// flushing when the transaction began.
+func (t *Tx) hiddenTS(ts int64) bool {
+	for _, b := range t.hidden {
+		if b.holds(ts) {
+			return true
+		}
+	}
+	return false
+}
+
+// unseen reports whether the commit whose watermark is start was invisible
+// to the transaction's reads: validated after begin, or flushing at begin.
+func (t *Tx) unseen(start int64) bool { return start >= t.begin || t.hiddenTS(start) }
 
 // RecordWrite adds a row to the transaction's write set; it has the
 // signature of phoenix.WriteOpts.OnWrite.
@@ -220,26 +322,28 @@ func (v *Validator) Validate(ctx *sim.Ctx, t *Tx, stampPending func(next func() 
 	if t.done {
 		return ErrFinished
 	}
+	v.waitEscalationLocked(t)
+	defer v.endEscalationLocked(t)
 	delete(v.active, t)
 	// Point reads probe the write index: O(read set), independent of how
 	// many commit records the active-transaction horizon retains.
 	for p := range t.rs.points {
-		if start, ok := v.writeIdx[p]; ok && start >= t.snap {
+		if start, ok := v.writeIdx[p]; ok && t.unseen(start) {
 			t.done = true
 			v.aborts++
 			v.conflicts++
-			return fmt.Errorf("%w: read of %s overlaps a write committed after snapshot %d", ErrConflict, describeKey(p), t.snap)
+			return fmt.Errorf("%w: read of %s overlaps a write committed after snapshot %d", ErrConflict, describeKey(p), t.begin)
 		}
 	}
 	// Blind write-write overlap (no read of the row, e.g. two concurrent
 	// upserts): also non-serializable under last-writer-wins flushing, so
 	// it aborts too. Same probe.
 	for w := range t.writes {
-		if start, ok := v.writeIdx[w]; ok && start >= t.snap {
+		if start, ok := v.writeIdx[w]; ok && t.unseen(start) {
 			t.done = true
 			v.aborts++
 			v.conflicts++
-			return fmt.Errorf("%w: write of %s overlaps a write committed after snapshot %d", ErrConflict, describeKey(w), t.snap)
+			return fmt.Errorf("%w: write of %s overlaps a write committed after snapshot %d", ErrConflict, describeKey(w), t.begin)
 		}
 	}
 	// Scan ranges cannot be hash-probed; only transactions that scanned
@@ -247,7 +351,7 @@ func (v *Validator) Validate(ctx *sim.Ctx, t *Tx, stampPending func(next func() 
 	if len(t.rs.ranges) > 0 {
 		for i := range v.committed {
 			rec := &v.committed[i]
-			if rec.start < t.snap {
+			if !t.unseen(rec.start) {
 				continue // fully visible in our snapshot: not a conflict
 			}
 			for w := range rec.writes {
@@ -259,7 +363,7 @@ func (v *Validator) Validate(ctx *sim.Ctx, t *Tx, stampPending func(next func() 
 					t.done = true
 					v.aborts++
 					v.conflicts++
-					return fmt.Errorf("%w: read of %s overlaps a write committed after snapshot %d", ErrConflict, describeKey(w), t.snap)
+					return fmt.Errorf("%w: read of %s overlaps a write committed after snapshot %d", ErrConflict, describeKey(w), t.begin)
 				}
 			}
 		}
@@ -269,10 +373,11 @@ func (v *Validator) Validate(ctx *sim.Ctx, t *Tx, stampPending func(next func() 
 	pending := 0
 	if len(t.writes) > 0 {
 		t.commitStart = v.next()
+		end := t.commitStart
 		if stampPending != nil {
-			pending = stampPending(v.next)
+			pending = stampPending(func() int64 { end = v.next(); return end })
 		}
-		v.flushing[t.commitStart] = struct{}{}
+		v.flushing[t.commitStart] = end
 		v.committed = append(v.committed, commitRec{start: t.commitStart, writes: t.writes})
 		for w := range t.writes {
 			v.writeIdx[w] = t.commitStart // newest commit of the key, by construction
@@ -303,6 +408,7 @@ func (v *Validator) AbandonFlush(ctx *sim.Ctx, t *Tx) {
 	defer v.mu.Unlock()
 	if t.commitStart != 0 {
 		delete(v.flushing, t.commitStart)
+		v.cond.Broadcast()
 		kept := v.committed[:0]
 		for _, rec := range v.committed {
 			if rec.start != t.commitStart {
@@ -338,6 +444,7 @@ func (v *Validator) Finalize(ctx *sim.Ctx, t *Tx) {
 	defer v.mu.Unlock()
 	if t.commitStart != 0 {
 		delete(v.flushing, t.commitStart)
+		v.cond.Broadcast() // an escalation may be draining the flushes
 		// The retired watermark may have been the only thing pinning this
 		// commit's write set (see gcLocked).
 		v.gcLocked()
@@ -357,6 +464,7 @@ func (v *Validator) Abort(ctx *sim.Ctx, t *Tx) {
 	}
 	t.done = true
 	delete(v.active, t)
+	v.endEscalationLocked(t)
 	v.aborts++
 }
 
@@ -404,7 +512,9 @@ func (v *Validator) gcLocked() {
 // Stats reports validator counters.
 type Stats struct {
 	Begun, Commits, Aborts, Conflicts int64
-	RetainedWriteSets                 int
+	// Escalations counts transactions begun under the escalation lock.
+	Escalations       int64
+	RetainedWriteSets int
 	// IndexedKeys is the committed write-set index size; it shrinks with
 	// RetainedWriteSets as the active-transaction horizon advances.
 	IndexedKeys int
@@ -416,6 +526,7 @@ func (v *Validator) Stats() Stats {
 	defer v.mu.Unlock()
 	return Stats{
 		Begun: v.begun, Commits: v.commits, Aborts: v.aborts, Conflicts: v.conflicts,
+		Escalations:       v.escalations,
 		RetainedWriteSets: len(v.committed),
 		IndexedKeys:       len(v.writeIdx),
 	}

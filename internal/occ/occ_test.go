@@ -3,6 +3,7 @@ package occ
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"synergy/internal/cluster"
 	"synergy/internal/hbase"
@@ -247,6 +248,94 @@ func TestStampsReservedAtValidationKeepCommitsAtomic(t *testing.T) {
 	}
 	v.Finalize(ctx, b)
 	v.Abort(ctx, c)
+}
+
+// TestBeginSeesCommitsFinalizedPastAFlush pins the false-conflict fix: a
+// transaction that begins while an older commit is still flushing hides
+// only that commit's stamp block. A newer commit that finalized first —
+// typically the beginning transaction's own previous one — stays visible
+// and does not conflict; the flushing one conflicts if it was read.
+func TestBeginSeesCommitsFinalizedPastAFlush(t *testing.T) {
+	v := NewValidator(nil) // private counter: timestamps are 1, 2, 3, ...
+	ctx := sim.NewCtx()
+
+	slow := v.Begin(ctx) // 1
+	slow.RecordWrite("T", "slow")
+	if err := v.Validate(ctx, slow, func(next func() int64) int { next(); return 1 }); err != nil {
+		t.Fatal(err) // watermark 2, cell stamp 3; its flush stays in flight
+	}
+	mine := v.Begin(ctx) // 4
+	mine.RecordWrite("T", "mine")
+	var mineStamp int64
+	if err := v.Validate(ctx, mine, func(next func() int64) int { mineStamp = next(); return 1 }); err != nil {
+		t.Fatal(err) // watermark 5, cell stamp 6
+	}
+	v.Finalize(ctx, mine)
+
+	next := v.Begin(ctx) // 7: slow is still flushing
+	excluded := next.ReadOpts().Excluded
+	if excluded(mineStamp) {
+		t.Fatalf("own finalized commit (stamp %d) hidden from the next transaction", mineStamp)
+	}
+	if !excluded(3) {
+		t.Fatal("a commit still flushing at begin is visible: readers could see half of it")
+	}
+	next.rs.AddPoint("T", "mine")
+	next.RecordWrite("T", "mine")
+	if err := v.Validate(ctx, next, nil); err != nil {
+		t.Fatalf("read-modify-write of a row committed before begin: %v", err)
+	}
+	v.Finalize(ctx, next)
+
+	stale := v.Begin(ctx) // slow is still flushing
+	stale.rs.AddPoint("T", "slow")
+	v.Finalize(ctx, slow)
+	if err := v.Validate(ctx, stale, nil); !errors.Is(err, ErrConflict) {
+		t.Fatalf("validate = %v, want ErrConflict: read hid the flushing commit's write", err)
+	}
+}
+
+// TestEscalatedTxnCannotLoseValidation pins the progress guarantee: while an
+// escalated transaction runs, a concurrent transaction that writes what it
+// read cannot validate first — its validation waits — so the escalated one
+// commits, and the other is then checked against it.
+func TestEscalatedTxnCannotLoseValidation(t *testing.T) {
+	v := NewValidator(nil)
+	ctx := sim.NewCtx()
+	rival := v.Begin(ctx)
+	rival.rs.AddPoint("T", "hot")
+	rival.RecordWrite("T", "hot")
+
+	esc := v.BeginEscalated(ctx)
+	esc.rs.AddPoint("T", "hot")
+	esc.RecordWrite("T", "hot")
+	rivalDone := make(chan error, 1)
+	go func() { rivalDone <- v.Validate(ctx, rival, nil) }()
+	select {
+	case err := <-rivalDone:
+		t.Fatalf("rival validated (%v) while an escalated transaction held the lock", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := v.Validate(ctx, esc, nil); err != nil {
+		t.Fatalf("escalated transaction lost validation: %v", err)
+	}
+	v.Finalize(ctx, esc)
+	if err := <-rivalDone; !errors.Is(err, ErrConflict) {
+		t.Fatalf("rival validate = %v, want ErrConflict against the escalated commit", err)
+	}
+	if st := v.Stats(); st.Escalations != 1 || st.Conflicts != 1 {
+		t.Fatalf("stats %+v, want 1 escalation and 1 conflict", st)
+	}
+
+	// The lock is released: a fresh transaction validates without waiting,
+	// and an aborted escalation releases it too.
+	v.Abort(ctx, v.BeginEscalated(ctx))
+	free := v.Begin(ctx)
+	free.RecordWrite("T", "other")
+	if err := v.Validate(ctx, free, nil); err != nil {
+		t.Fatal(err)
+	}
+	v.Finalize(ctx, free)
 }
 
 // TestRangeContains covers the read-set range matcher directly.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
@@ -19,26 +20,37 @@ const (
 
 // EncodeValue renders a typed value into cell bytes.
 func EncodeValue(v schema.Value) []byte {
+	if v == nil {
+		return nil
+	}
+	return appendValue(make([]byte, 0, encodedLen(v)), v)
+}
+
+// encodedLen is the length of v's cell encoding.
+func encodedLen(v schema.Value) int {
 	switch x := v.(type) {
 	case nil:
-		return nil
-	case int64:
-		buf := make([]byte, 9)
-		buf[0] = tagInt
-		binary.BigEndian.PutUint64(buf[1:], uint64(x))
-		return buf
-	case int:
-		return EncodeValue(int64(x))
-	case float64:
-		buf := make([]byte, 9)
-		buf[0] = tagFloat
-		binary.BigEndian.PutUint64(buf[1:], math.Float64bits(x))
-		return buf
+		return 0
 	case string:
-		buf := make([]byte, 1+len(x))
-		buf[0] = tagString
-		copy(buf[1:], x)
+		return 1 + len(x)
+	default:
+		return 9
+	}
+}
+
+// appendValue appends v's cell encoding to buf.
+func appendValue(buf []byte, v schema.Value) []byte {
+	switch x := v.(type) {
+	case nil:
 		return buf
+	case int64:
+		return binary.BigEndian.AppendUint64(append(buf, tagInt), uint64(x))
+	case int:
+		return appendValue(buf, int64(x))
+	case float64:
+		return binary.BigEndian.AppendUint64(append(buf, tagFloat), math.Float64bits(x))
+	case string:
+		return append(append(buf, tagString), x...)
 	default:
 		panic(fmt.Sprintf("phoenix: unencodable value %T", v))
 	}
@@ -61,14 +73,28 @@ func DecodeValue(b []byte) schema.Value {
 	}
 }
 
-// RowToCells encodes a row's non-nil attributes as cells.
+// RowToCells encodes a row's non-nil attributes as cells sorted by
+// qualifier — the order the store keeps them in, so a bulk load packs them
+// as given. The values are windows into one slab per row rather than one
+// allocation per cell; like every stored value they are immutable.
 func RowToCells(row schema.Row) []hbase.Cell {
-	cells := make([]hbase.Cell, 0, len(row))
+	var colBuf [16]string
+	cols := colBuf[:0]
+	size := 0
 	for col, v := range row {
 		if v == nil {
 			continue
 		}
-		cells = append(cells, hbase.Cell{Qualifier: col, Value: EncodeValue(v)})
+		cols = append(cols, col)
+		size += encodedLen(v)
+	}
+	slices.Sort(cols)
+	slab := make([]byte, 0, size)
+	cells := make([]hbase.Cell, len(cols))
+	for i, col := range cols {
+		start := len(slab)
+		slab = appendValue(slab, row[col])
+		cells[i] = hbase.Cell{Qualifier: col, Value: slab[start:len(slab):len(slab)]}
 	}
 	return cells
 }

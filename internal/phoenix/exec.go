@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
+	"time"
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
@@ -243,6 +244,11 @@ func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan) ([]tuple,
 		if attempt+1 >= maxRestarts {
 			return nil, fmt.Errorf("%w: %s after %d restarts", ErrDirtyRead, tableName, attempt+1)
 		}
+		// Back off in wall-clock time too, growing with each attempt, so
+		// a marking writer that was descheduled mid-update gets to un-mark
+		// before the budget is spent: immediate re-scans could burn every
+		// restart inside one of its scheduling gaps.
+		time.Sleep(time.Duration(attempt+1) * 10 * time.Microsecond)
 	}
 }
 

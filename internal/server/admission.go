@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 )
 
@@ -18,10 +19,11 @@ var ErrServerBusy = errors.New("server: admission queue full")
 // never across client think time, so a session blocked mid-transaction on
 // its client holds locks but no slot.
 type Gate struct {
-	slots    chan struct{}
-	maxQueue int64
+	mu       sync.Mutex
+	free     int             // idle slots
+	waiters  []chan struct{} // FIFO of queued acquirers
+	maxQueue int
 
-	waiting  atomic.Int64 // current queued acquirers
 	queued   atomic.Int64 // cumulative acquisitions that had to queue
 	rejected atomic.Int64 // cumulative fast-fail rejections
 }
@@ -35,55 +37,69 @@ func NewGate(slots, queue int) *Gate {
 	if queue <= 0 {
 		queue = 16
 	}
-	g := &Gate{slots: make(chan struct{}, slots), maxQueue: int64(queue)}
-	for i := 0; i < slots; i++ {
-		g.slots <- struct{}{}
-	}
-	return g
+	return &Gate{free: slots, maxQueue: queue}
 }
 
 // Acquire takes an execution slot, blocking in the wait queue when every
 // slot is busy. It reports whether the caller had to queue; when the queue
-// is at its bound it fails immediately with ErrServerBusy.
+// is at its bound it fails immediately with ErrServerBusy. A queued caller
+// leaves the queue in the same critical section that hands it a slot (see
+// Release), so the queue bound counts exactly the callers still waiting:
+// with at most slots+queue callers in flight, none is ever rejected.
 func (g *Gate) Acquire() (bool, error) {
-	select {
-	case <-g.slots:
+	g.mu.Lock()
+	if g.free > 0 {
+		g.free--
+		g.mu.Unlock()
 		return false, nil
-	default:
 	}
-	for {
-		w := g.waiting.Load()
-		if w >= g.maxQueue {
-			g.rejected.Add(1)
-			return false, ErrServerBusy
-		}
-		if g.waiting.CompareAndSwap(w, w+1) {
-			break
-		}
+	if len(g.waiters) >= g.maxQueue {
+		g.mu.Unlock()
+		g.rejected.Add(1)
+		return false, ErrServerBusy
 	}
+	ready := make(chan struct{})
+	g.waiters = append(g.waiters, ready)
+	g.mu.Unlock()
 	g.queued.Add(1)
-	<-g.slots
-	g.waiting.Add(-1)
+	<-ready
 	return true, nil
 }
 
 // TryAcquire takes a slot only if one is free — the bench uses it to occupy
 // the pool deterministically.
 func (g *Gate) TryAcquire() bool {
-	select {
-	case <-g.slots:
-		return true
-	default:
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.free == 0 {
 		return false
 	}
+	g.free--
+	return true
 }
 
-// Release returns a slot to the pool, waking the longest-queued acquirer
-// (channel order).
-func (g *Gate) Release() { g.slots <- struct{}{} }
+// Release returns a slot. When callers are queued the slot passes straight
+// to the longest-queued one, which leaves the queue in the same critical
+// section; otherwise it returns to the idle pool.
+func (g *Gate) Release() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.waiters) == 0 {
+		g.free++
+		return
+	}
+	close(g.waiters[0])
+	n := copy(g.waiters, g.waiters[1:])
+	g.waiters[n] = nil
+	g.waiters = g.waiters[:n]
+}
 
 // Waiting reports the acquirers currently queued.
-func (g *Gate) Waiting() int { return int(g.waiting.Load()) }
+func (g *Gate) Waiting() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.waiters)
+}
 
 // GateStats are cumulative admission counters.
 type GateStats struct {

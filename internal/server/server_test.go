@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -717,6 +720,48 @@ func TestGateBounds(t *testing.T) {
 	}
 	g.Release()
 	<-queued
+}
+
+// TestGateStressNoSpuriousRejections hammers one gate from exactly
+// slots+queue goroutines. The bound can never be exceeded, so every
+// acquisition must succeed: a slot handed to a queued caller must leave the
+// queue count in the same step, or a woken-but-unscheduled waiter would
+// still occupy a queue entry and a newcomer would be rejected.
+func TestGateStressNoSpuriousRejections(t *testing.T) {
+	const slots, queue, rounds = 2, 3, 20_000
+	g := NewGate(slots, queue)
+	var wg sync.WaitGroup
+	var inFlight, peak atomic.Int64
+	for w := 0; w < slots+queue; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := g.Acquire(); err != nil {
+					t.Errorf("acquire %d: %v", i, err)
+					return
+				}
+				n := inFlight.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				if i%8 == 0 {
+					runtime.Gosched()
+				}
+				inFlight.Add(-1)
+				g.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if st := g.Stats(); st.Rejected != 0 {
+		t.Fatalf("%d of %d acquisitions rejected with at most slots+queue callers", st.Rejected, (slots+queue)*rounds)
+	}
+	if p := peak.Load(); p > slots {
+		t.Fatalf("%d callers held a slot at once, want at most %d", p, slots)
+	}
+	if g.Waiting() != 0 {
+		t.Fatalf("%d callers still queued after every release", g.Waiting())
+	}
 }
 
 func TestResultSetColumnTypes(t *testing.T) {

@@ -191,6 +191,12 @@ type markRef struct{ table, key string }
 // hierarchical locking the caller is normally the transaction layer, which
 // WAL-logs the statements around it; MVCC transactions need no logging.
 func (sys *System) BeginTx(ctx *sim.Ctx) *Tx {
+	return sys.beginTx(ctx, false)
+}
+
+// beginTx is BeginTx; escalate begins an OCC transaction under the
+// validator's escalation lock, so its validation cannot fail.
+func (sys *System) beginTx(ctx *sim.Ctx, escalate bool) *Tx {
 	tx := &Tx{sys: sys, lock: sys.cfg.Concurrency == Hierarchical}
 	switch sys.cfg.Concurrency {
 	case MVCC:
@@ -198,7 +204,12 @@ func (sys *System) BeginTx(ctx *sim.Ctx) *Tx {
 		tx.mvccTx = t
 		tx.opts = phoenix.WriteOpts{TS: t.ID(), Read: t.ReadOpts(), OnWrite: t.RecordWrite, Sequential: sys.cfg.SequentialWrites}
 	case OCC:
-		t := sys.OCC.Begin(ctx)
+		var t *occ.Tx
+		if escalate {
+			t = sys.OCC.BeginEscalated(ctx)
+		} else {
+			t = sys.OCC.Begin(ctx)
+		}
 		tx.occTx = t
 		tx.opts = phoenix.WriteOpts{Read: t.ReadOpts(), OnWrite: t.RecordWrite}
 	default:
@@ -404,7 +415,7 @@ func (tx *Tx) publishDeltas(ctx *sim.Ctx) {
 	for i, d := range tx.deltas {
 		d := d
 		out[i] = changefeed.Delta{View: d.view, CommitTS: commitTS, Apply: func(actx *sim.Ctx) error {
-			return sys.applyDelta(actx, d)
+			return sys.applyDelta(actx, d, commitTS)
 		}}
 	}
 	tx.deltas = nil
@@ -431,12 +442,15 @@ func (tx *Tx) deferMaintenance(kind core.WriteKind, view string) bool {
 // applyDelta replays one deferred maintenance action from the changefeed
 // applier. The apply runs as its own statement-scoped write: no locks and no
 // dirty marks (readers of an async view accept staleness instead of
-// restarts), no transaction overlay (the base writes are flushed and
-// visible), and zero-TS mutations pick up fresh oracle stamps at flush — so
-// a snapshot begun after the apply sees the maintained view under every
-// concurrency mode.
-func (sys *System) applyDelta(ctx *sim.Ctx, d viewDelta) error {
-	atx := &Tx{sys: sys, opts: phoenix.WriteOpts{}}
+// restarts) and no transaction overlay (the base writes are flushed and
+// visible). Its writes carry the source transaction's commit timestamp, so
+// they order against synchronous writes by commit order, not apply order: a
+// deferred update applied after a later synchronous delete of the same view
+// tuple lands below the delete's tombstone instead of resurrecting the
+// tuple. A snapshot begun after the apply still sees the maintained view
+// under every concurrency mode, because the commit is at or below it.
+func (sys *System) applyDelta(ctx *sim.Ctx, d viewDelta, commitTS int64) error {
+	atx := &Tx{sys: sys, opts: phoenix.WriteOpts{TS: commitTS}}
 	switch d.parts.kind {
 	case core.WriteInsert:
 		return sys.maintainInsert(ctx, atx, d.action, d.parts)
@@ -629,12 +643,14 @@ func (sys *System) ExecuteWrite(ctx *sim.Ctx, stmt sqlparser.Statement, params [
 // flushed work durable (under MVCC it is invisible instead, via the
 // invalidated transaction id). Under OCC a validation conflict retries the
 // whole transaction from a fresh snapshot with capped exponential backoff —
-// the optimistic mirror of the lock path's contended spin — before
-// surfacing occ.ErrConflict; a retried attempt re-executes every statement,
-// and an aborted attempt has flushed nothing (OCC runs no phase barriers),
-// so retry leaves no dirty marks and no partial state. The transaction
-// layer calls this after WAL-logging; use System.ExecTxn to route through
-// it.
+// the optimistic mirror of the lock path's contended spin. After
+// occEscalateAfter conflicts the next attempt runs under the validator's
+// escalation lock (occ.Validator.BeginEscalated), which no concurrent commit
+// can invalidate, so a contended transaction always commits instead of
+// starving. A retried attempt re-executes every statement, and an aborted
+// attempt has flushed nothing (OCC runs no phase barriers), so retry leaves
+// no dirty marks and no partial state. The transaction layer calls this
+// after WAL-logging; use System.ExecTxn to route through it.
 func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
 	if len(stmts) != len(paramsList) {
 		return fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))
@@ -643,8 +659,10 @@ func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsL
 	if maxRetries <= 0 {
 		maxRetries = 1
 	}
+	escalateAt := min(occEscalateAfter, maxRetries-1)
 	for attempt := 0; ; attempt++ {
-		err := sys.executeTxnOnce(ctx, stmts, paramsList)
+		escalate := sys.OCC != nil && attempt > 0 && attempt >= escalateAt
+		err := sys.executeTxnOnce(ctx, stmts, paramsList, escalate)
 		if err == nil || !errors.Is(err, occ.ErrConflict) || attempt+1 >= maxRetries {
 			return err
 		}
@@ -655,9 +673,14 @@ func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsL
 	}
 }
 
+// occEscalateAfter is how many validation conflicts an OCC transaction
+// loses before its next attempt runs under the validator's escalation lock,
+// which that attempt cannot lose.
+const occEscalateAfter = 3
+
 // executeTxnOnce runs one attempt of the transaction.
-func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
-	tx := sys.BeginTx(ctx)
+func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value, escalate bool) error {
+	tx := sys.beginTx(ctx, escalate)
 	if tx.occTx != nil && sys.occPostBegin != nil {
 		sys.occPostBegin()
 	}
