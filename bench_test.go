@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"synergy/internal/bench"
+	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
@@ -83,7 +84,10 @@ func benchmarkMicro(b *testing.B, queryIdx int, useView bool) {
 		if useView {
 			_, err = sys.Query(ctx, sel, nil)
 		} else {
-			_, err = sys.Engine.Query(ctx, sel, nil)
+			var cur phoenix.RowCursor
+			if cur, err = sys.Engine.QueryStream(ctx, sel, nil); err == nil {
+				_, err = phoenix.DrainCursor(ctx, cur)
+			}
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -321,7 +325,11 @@ func BenchmarkAblation_Q4_BaseJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx := sim.NewCtx()
 		params := st.Params(s.Data, rng)
-		if _, err := s.Synergy.System().Engine.Query(ctx, sel, params); err != nil {
+		cur, err := s.Synergy.System().Engine.QueryStream(ctx, sel, params)
+		if err == nil {
+			_, err = phoenix.DrainCursor(ctx, cur)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 		total += ctx.Elapsed()

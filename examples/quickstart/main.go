@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
@@ -84,7 +85,11 @@ func main() {
 	fmt.Printf("  simulated response time: %v\n\n", viewCtx.Elapsed())
 
 	joinCtx := sim.NewCtx()
-	if _, err := sys.Engine.Query(joinCtx, w1, params); err != nil { // base tables
+	cur, err := sys.Engine.QueryStream(joinCtx, w1, params) // base tables
+	if err == nil {
+		_, err = phoenix.DrainCursor(joinCtx, cur)
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("=== W1 via base-table join: %v (%.1fx slower) ===\n\n",

@@ -6,6 +6,7 @@ import (
 
 	"synergy/internal/cluster"
 	"synergy/internal/hbase"
+	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
@@ -75,7 +76,10 @@ func RunFigure10(scales []int, reps int, seed int64, costs *sim.Costs) ([]Figure
 			row.ViewScan = m
 			m, err = measure(reps, rng.Derive(fmt.Sprintf("f10/join/%d/%s", scale, q.name)), func(int) (sim.Micros, error) {
 				ctx := sim.NewCtx()
-				_, err := sys.Engine.Query(ctx, q.sel, nil) // base tables: join algorithm
+				cur, err := sys.Engine.QueryStream(ctx, q.sel, nil) // base tables: join algorithm
+				if err == nil {
+					_, err = phoenix.DrainCursor(ctx, cur)
+				}
 				return ctx.Elapsed(), err
 			})
 			if err != nil {

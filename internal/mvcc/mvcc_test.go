@@ -13,6 +13,17 @@ import (
 	"synergy/internal/sqlparser"
 )
 
+// drain materializes a QueryStream call's result, closing the cursor:
+// rs, err := drain(ctx)(s.QueryStream(ctx, sel, params)).
+func drain(ctx *sim.Ctx) func(phoenix.RowCursor, error) (*phoenix.ResultSet, error) {
+	return func(cur phoenix.RowCursor, err error) (*phoenix.ResultSet, error) {
+		if err != nil {
+			return nil, err
+		}
+		return phoenix.DrainCursor(ctx, cur)
+	}
+}
+
 func newSession(t *testing.T) *Session {
 	t.Helper()
 	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
@@ -43,7 +54,8 @@ func insert(t *testing.T, s *Session, id, bal int64, owner string) {
 func balance(t *testing.T, s *Session, id int64) (int64, bool) {
 	t.Helper()
 	sel := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := s.Query(sim.NewCtx(), sel, []schema.Value{id})
+	ctx := sim.NewCtx()
+	rs, err := drain(ctx)(s.QueryStream(ctx, sel, []schema.Value{id}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +104,7 @@ func TestSnapshotIsolationAgainstInFlight(t *testing.T) {
 	// Reader beginning now must not see the in-flight write.
 	reader := s.Server().Begin(ctx)
 	sel := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := s.Engine().QueryOpts(ctx, sel, []schema.Value{int64(1)}, phoenix.QueryOpts{Read: reader.ReadOpts()})
+	rs, err := drain(ctx)(s.Engine().QueryStreamOpts(ctx, sel, []schema.Value{int64(1)}, phoenix.QueryOpts{Read: reader.ReadOpts()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +116,7 @@ func TestSnapshotIsolationAgainstInFlight(t *testing.T) {
 	if err := s.Server().Commit(ctx, writer); err != nil {
 		t.Fatal(err)
 	}
-	rs, _ = s.Engine().QueryOpts(ctx, sel, []schema.Value{int64(1)}, phoenix.QueryOpts{Read: reader.ReadOpts()})
+	rs, _ = drain(ctx)(s.Engine().QueryStreamOpts(ctx, sel, []schema.Value{int64(1)}, phoenix.QueryOpts{Read: reader.ReadOpts()}))
 	if rs.Rows[0]["bal"].(int64) != 100 {
 		t.Fatalf("snapshot unstable after concurrent commit: %v", rs.Rows[0])
 	}
@@ -126,7 +138,7 @@ func TestOwnWritesVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := s.Engine().QueryOpts(ctx, sel, []schema.Value{int64(1)}, phoenix.QueryOpts{Read: tx.ReadOpts()})
+	rs, err := drain(ctx)(s.Engine().QueryStreamOpts(ctx, sel, []schema.Value{int64(1)}, phoenix.QueryOpts{Read: tx.ReadOpts()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +205,7 @@ func TestPerStatementOverheadMatchesPaper(t *testing.T) {
 	insert(t, s, 1, 100, "alice")
 	ctx := sim.NewCtx()
 	sel := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	if _, err := s.Query(ctx, sel, []schema.Value{int64(1)}); err != nil {
+	if _, err := drain(ctx)(s.QueryStream(ctx, sel, []schema.Value{int64(1)})); err != nil {
 		t.Fatal(err)
 	}
 	// §IX-D4: "MVCC adds an overhead of 800-900 ms to each statement".

@@ -11,8 +11,10 @@ import (
 )
 
 // Session executes SQL statements as single-statement MVCC transactions
-// through a Phoenix engine, the way the Baseline/MVCC-A/MVCC-UA systems run
-// the workload with Phoenix-Tephra transaction support enabled (§IX-D2).
+// through a Phoenix engine, with no view maintenance stack: the mechanism's
+// own surface, which the package tests drive directly. The Baseline, MVCC-A
+// and MVCC-UA systems of §IX-D2 do not run through it; they are
+// synergy.System deployments in MVCC mode (see internal/bench/systems.go).
 type Session struct {
 	eng *phoenix.Engine
 	srv *Server
@@ -28,15 +30,6 @@ func (s *Session) Engine() *phoenix.Engine { return s.eng }
 
 // Server exposes the transaction server.
 func (s *Session) Server() *Server { return s.srv }
-
-// Query runs a SELECT inside a snapshot transaction.
-func (s *Session) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	cur, err := s.QueryStream(ctx, sel, params)
-	if err != nil {
-		return nil, err
-	}
-	return phoenix.DrainCursor(ctx, cur)
-}
 
 // QueryStream runs a SELECT inside a snapshot transaction, returning a
 // cursor. The transaction stays open for the cursor's lifetime and is
@@ -123,19 +116,11 @@ func (t *SessionTx) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema
 	return t.sess.eng.Exec(ctx, stmt, params, t.writeOpts())
 }
 
-// Query runs a SELECT inside the transaction; scans and point lookups see
-// the transaction's own buffered writes merged over its snapshot.
-func (t *SessionTx) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	if t.done {
-		return nil, ErrFinishedTxn
-	}
-	return t.sess.eng.QueryOpts(ctx, sel, params, phoenix.QueryOpts{Read: t.tx.ReadOpts(), View: t.mut.View()})
-}
-
-// QueryStream is Query returning a cursor. The cursor reads through the
-// transaction's snapshot and write overlay but holds no transaction state:
-// Close only releases the scanner. It must be closed before the next
-// statement runs (the next Exec advances the transaction's checkpoint).
+// QueryStream runs a SELECT inside the transaction as a cursor; scans and
+// point lookups see the transaction's own buffered writes merged over its
+// snapshot. The cursor holds no transaction state: Close only releases the
+// scanner. It must be closed before the next statement runs (the next Exec
+// advances the transaction's checkpoint).
 func (t *SessionTx) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (phoenix.RowCursor, error) {
 	if t.done {
 		return nil, ErrFinishedTxn

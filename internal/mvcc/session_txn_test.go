@@ -32,7 +32,7 @@ func TestSessionTxnReadYourWrites(t *testing.T) {
 
 	// Point get sees the buffered insert + update.
 	point := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := tx.Query(ctx, point, []schema.Value{int64(3)})
+	rs, err := drain(ctx)(tx.QueryStream(ctx, point, []schema.Value{int64(3)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestSessionTxnReadYourWrites(t *testing.T) {
 
 	// Unlimited scan sees all three rows with buffered values.
 	full := sqlparser.MustParse("SELECT id, bal FROM Account").(*sqlparser.SelectStmt)
-	rs, err = tx.Query(ctx, full, nil)
+	rs, err = drain(ctx)(tx.QueryStream(ctx, full, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSessionTxnReadYourWrites(t *testing.T) {
 
 	// Limit scan merges pending rows into the bounded stream.
 	limited := sqlparser.MustParse("SELECT id FROM Account ORDER BY id ASC LIMIT 3").(*sqlparser.SelectStmt)
-	rs, err = tx.Query(ctx, limited, nil)
+	rs, err = drain(ctx)(tx.QueryStream(ctx, limited, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSessionTxnDeleteThenReinsert(t *testing.T) {
 	}
 	// The transaction's own read sees the re-inserted row.
 	point := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := tx.Query(ctx, point, []schema.Value{int64(1)})
+	rs, err := drain(ctx)(tx.QueryStream(ctx, point, []schema.Value{int64(1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,5 +178,48 @@ func TestSessionTxnConflictAborts(t *testing.T) {
 	}
 	if bal, _ := balance(t, s, 1); bal != 111 {
 		t.Fatalf("balance = %d, want winner's 111", bal)
+	}
+}
+
+// TestSessionQueryStreamSettlesOnClose: an autocommit QueryStream runs in its
+// own snapshot transaction, which stays active for the cursor's whole
+// lifetime — draining is not enough — and commits when Close follows a
+// clean drain.
+func TestSessionQueryStreamSettlesOnClose(t *testing.T) {
+	s := newSession(t)
+	insert(t, s, 1, 100, "alice")
+	insert(t, s, 2, 200, "bob")
+	srv := s.Server()
+	before := srv.Stats()
+
+	ctx := sim.NewCtx()
+	sel := sqlparser.MustParse("SELECT id, bal FROM Account").(*sqlparser.SelectStmt)
+	cur, err := s.QueryStream(ctx, sel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.ActiveTxns(); n != 1 {
+		t.Fatalf("%d active transactions with the cursor open, want 1", n)
+	}
+	rows := 0
+	for cur.Next(ctx) {
+		rows++
+	}
+	if err := cur.Err(); err != nil || rows != 2 {
+		t.Fatalf("drained %d rows (err %v), want 2", rows, err)
+	}
+	if n := srv.ActiveTxns(); n != 1 {
+		t.Fatalf("%d active transactions after the drain, want 1 until Close", n)
+	}
+	if err := cur.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.ActiveTxns(); n != 0 {
+		t.Fatalf("%d active transactions after Close, want 0", n)
+	}
+	st := srv.Stats()
+	if st.Commits != before.Commits+1 || st.Aborts != before.Aborts {
+		t.Fatalf("Close settled with %d commits, %d aborts; want 1 commit, 0 aborts",
+			st.Commits-before.Commits, st.Aborts-before.Aborts)
 	}
 }

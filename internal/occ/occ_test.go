@@ -13,6 +13,17 @@ import (
 	"synergy/internal/sqlparser"
 )
 
+// drain materializes a QueryStream call's result, closing the cursor:
+// rs, err := drain(ctx)(s.QueryStream(ctx, sel, params)).
+func drain(ctx *sim.Ctx) func(phoenix.RowCursor, error) (*phoenix.ResultSet, error) {
+	return func(cur phoenix.RowCursor, err error) (*phoenix.ResultSet, error) {
+		if err != nil {
+			return nil, err
+		}
+		return phoenix.DrainCursor(ctx, cur)
+	}
+}
+
 // newSession builds an Account table over a fresh store and a validator
 // sharing the store's timestamp oracle — the deployment wiring: begin
 // snapshots must order consistently against flush-time cell stamps.
@@ -46,7 +57,8 @@ func insert(t testing.TB, s *Session, id, bal int64, owner string) {
 func balance(t testing.TB, s *Session, id int64) (int64, bool) {
 	t.Helper()
 	sel := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := s.Query(sim.NewCtx(), sel, []schema.Value{id})
+	ctx := sim.NewCtx()
+	rs, err := drain(ctx)(s.QueryStream(ctx, sel, []schema.Value{id}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +122,7 @@ func TestScanRangeCatchesPhantom(t *testing.T) {
 	ctx := sim.NewCtx()
 	t1 := s.BeginTxn(ctx)
 	sum := sqlparser.MustParse("SELECT id, bal FROM Account").(*sqlparser.SelectStmt)
-	if _, err := t1.Query(ctx, sum, nil); err != nil {
+	if _, err := drain(ctx)(t1.QueryStream(ctx, sum, nil)); err != nil {
 		t.Fatal(err)
 	}
 	// t1's write depends on the scan; give it one.

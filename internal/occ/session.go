@@ -27,16 +27,12 @@ func (s *Session) Engine() *phoenix.Engine { return s.eng }
 // Validator exposes the validation service.
 func (s *Session) Validator() *Validator { return s.v }
 
-// Query runs a SELECT against a fresh begin-timestamp snapshot. Read-only
-// snapshot reads are serializable as of their begin point and need no
-// validation, so the transaction costs one timestamp fetch and nothing else.
-func (s *Session) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	return s.eng.QueryOpts(ctx, sel, params, phoenix.QueryOpts{Read: hbase.SnapshotRead(s.v.SnapshotTS(ctx))})
-}
-
-// QueryStream is Query returning a streaming cursor. Snapshot reads carry no
-// transaction state, so Close only releases the region scanner; the begin
-// timestamp pins visibility for the cursor's whole lifetime.
+// QueryStream runs a SELECT against a fresh begin-timestamp snapshot as a
+// streaming cursor. Read-only snapshot reads are serializable as of their
+// begin point and need no validation, so the transaction costs one
+// timestamp fetch and nothing else. Snapshot reads carry no transaction
+// state, so Close only releases the region scanner; the begin timestamp
+// pins visibility for the cursor's whole lifetime.
 func (s *Session) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (phoenix.RowCursor, error) {
 	return s.eng.QueryStreamOpts(ctx, sel, params, phoenix.QueryOpts{Read: hbase.SnapshotRead(s.v.SnapshotTS(ctx))})
 }
@@ -94,20 +90,12 @@ func (t *SessionTx) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema
 	return t.sess.eng.Exec(ctx, stmt, params, t.writeOpts())
 }
 
-// Query runs a SELECT inside the transaction: scans and point lookups see
-// the transaction's own buffered writes merged over its snapshot, and their
-// ranges and keys join the read set.
-func (t *SessionTx) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	if t.done {
-		return nil, ErrFinished
-	}
-	return t.sess.eng.QueryOpts(ctx, sel, params, phoenix.QueryOpts{Read: t.tx.ReadOpts(), Reader: t.rd})
-}
-
-// QueryStream is Query returning a cursor: rows stream off the tracking
-// reader, so the scanned ranges still join the read set at open time. The
-// cursor holds no transaction state — Close only releases the scanner, and
-// the transaction outlives the cursor.
+// QueryStream runs a SELECT inside the transaction as a cursor: scans and
+// point lookups see the transaction's own buffered writes merged over its
+// snapshot, and rows stream off the tracking reader, so the scanned ranges
+// and keys join the read set at open time. The cursor holds no transaction
+// state — Close only releases the scanner, and the transaction outlives the
+// cursor.
 func (t *SessionTx) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (phoenix.RowCursor, error) {
 	if t.done {
 		return nil, ErrFinished

@@ -29,7 +29,7 @@ func TestSessionTxnReadYourWrites(t *testing.T) {
 	exec("UPDATE Account SET bal = ? WHERE id = ?", int64(333), int64(3))
 
 	point := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := tx.Query(ctx, point, []schema.Value{int64(3)})
+	rs, err := drain(ctx)(tx.QueryStream(ctx, point, []schema.Value{int64(3)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSessionTxnReadYourWrites(t *testing.T) {
 		t.Fatalf("point get inside txn = %v, want bal 333", rs.Rows)
 	}
 	full := sqlparser.MustParse("SELECT id FROM Account").(*sqlparser.SelectStmt)
-	rs, err = tx.Query(ctx, full, nil)
+	rs, err = drain(ctx)(tx.QueryStream(ctx, full, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSessionTxnDeleteThenReinsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	point := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := tx.Query(ctx, point, []schema.Value{int64(1)})
+	rs, err := drain(ctx)(tx.QueryStream(ctx, point, []schema.Value{int64(1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestConcurrentIncrementsSerializable(t *testing.T) {
 				for {
 					ctx := sim.NewCtx()
 					tx := s.BeginTxn(ctx)
-					rs, err := tx.Query(ctx, point, []schema.Value{int64(1)})
+					rs, err := drain(ctx)(tx.QueryStream(ctx, point, []schema.Value{int64(1)}))
 					if err != nil {
 						tx.Abort(ctx)
 						errs <- err
@@ -178,4 +178,39 @@ func TestConcurrentIncrementsSerializable(t *testing.T) {
 		t.Fatalf("commits = %d, want at least %d", st.Commits, workers*perWorker)
 	}
 	t.Logf("commits=%d conflicts=%d (contention on one hot row)", st.Commits, st.Conflicts)
+}
+
+// TestSessionTxnQueryStreamRangeJoinsReadSet: a cursor's scan range joins the
+// transaction's read set when the cursor opens, not row by row. The cursor
+// here reads one row and is abandoned, yet a concurrent commit elsewhere in
+// the scanned range still fails validation.
+func TestSessionTxnQueryStreamRangeJoinsReadSet(t *testing.T) {
+	s := newSession(t)
+	insert(t, s, 1, 100, "alice")
+	insert(t, s, 2, 200, "bob")
+
+	ctx := sim.NewCtx()
+	tx := s.BeginTxn(ctx)
+	full := sqlparser.MustParse("SELECT id, bal FROM Account").(*sqlparser.SelectStmt)
+	cur, err := tx.QueryStream(ctx, full, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cur.Next(ctx) || cur.Row()["id"] != int64(1) {
+		t.Fatalf("first row %v, want id 1", cur.Row())
+	}
+	if err := cur.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Exec(ctx, sqlparser.MustParse("UPDATE Account SET owner = ? WHERE id = ?"),
+		[]schema.Value{"scanner", int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A concurrent transaction commits a row the cursor never returned.
+	insert(t, s, 9, 900, "phantom")
+
+	if err := tx.Commit(ctx); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit after a write inside the scanned range = %v, want ErrConflict", err)
+	}
 }

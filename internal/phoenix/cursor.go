@@ -145,7 +145,10 @@ type materializedCursor struct {
 	closed bool
 }
 
-func newMaterializedCursor(rs *ResultSet) *materializedCursor {
+// NewMaterializedCursor iterates an already-built ResultSet through the
+// cursor API. Its Types come from ColumnTypes (value inspection), so an
+// all-NULL column types as TString.
+func NewMaterializedCursor(rs *ResultSet) RowCursor {
 	return &materializedCursor{rs: rs}
 }
 
@@ -212,10 +215,10 @@ func WithClose(cur RowCursor, onClose func(ctx *sim.Ctx, cur RowCursor) error) R
 	return &h
 }
 
-// DrainCursor materializes a cursor into a ResultSet, closing it. It is the
-// bridge that keeps the materialized Query API a thin wrapper over the
-// streaming path: cursors that already hold a full ResultSet are returned
-// as-is, streamed rows are copied out (the cursor's row map is reused).
+// DrainCursor materializes a cursor into a ResultSet, closing it; it is the
+// one helper for callers that want a slice instead of a cursor. Cursors that
+// already hold a full ResultSet return it as-is, streamed rows are copied out
+// (the cursor's row map is reused).
 func DrainCursor(ctx *sim.Ctx, cur RowCursor) (*ResultSet, error) {
 	inner := cur
 	for {
@@ -420,5 +423,5 @@ func (e *Engine) QueryStreamOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params
 	if err != nil {
 		return nil, err
 	}
-	return newMaterializedCursor(rs), nil
+	return NewMaterializedCursor(rs), nil
 }

@@ -102,23 +102,6 @@ func (rs *ResultSet) ColumnTypes() []schema.ColType {
 // "binding.column".
 type tuple map[string]schema.Value
 
-// Query plans and executes a SELECT.
-func (e *Engine) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*ResultSet, error) {
-	return e.QueryOpts(ctx, sel, params, QueryOpts{})
-}
-
-// QueryOpts is Query with explicit execution options. It is a thin wrapper
-// over the streaming path: QueryStreamOpts plans the statement, and the
-// cursor is drained into a ResultSet (a no-op for blocking shapes, which
-// materialize anyway).
-func (e *Engine) QueryOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, opts QueryOpts) (*ResultSet, error) {
-	cur, err := e.QueryStreamOpts(ctx, sel, params, opts)
-	if err != nil {
-		return nil, err
-	}
-	return DrainCursor(ctx, cur)
-}
-
 // ---------------------------------------------------------------------------
 // Analysis
 
@@ -185,7 +168,11 @@ func (e *Engine) analyzeStmt(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []s
 	for _, ref := range sel.From {
 		b := &binding{name: ref.Binding()}
 		if ref.Sub != nil {
-			rs, err := e.QueryOpts(ctx, ref.Sub, params, opts)
+			var rs *ResultSet
+			cur, err := e.QueryStreamOpts(ctx, ref.Sub, params, opts)
+			if err == nil {
+				rs, err = DrainCursor(ctx, cur)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("phoenix: derived table %s: %w", b.name, err)
 			}

@@ -12,6 +12,17 @@ import (
 	"synergy/internal/sqlparser"
 )
 
+// drain materializes a QueryStream call's result, closing the cursor:
+// rs, err := drain(ctx)(s.QueryStream(ctx, sel, params)).
+func drain(ctx *sim.Ctx) func(RowCursor, error) (*ResultSet, error) {
+	return func(cur RowCursor, err error) (*ResultSet, error) {
+		if err != nil {
+			return nil, err
+		}
+		return DrainCursor(ctx, cur)
+	}
+}
+
 // testDB builds a small Customer/Orders/Order_line database, mirroring the
 // micro-benchmark schema of Figure 8.
 func testDB(t *testing.T) (*Engine, *sim.Ctx) {
@@ -98,7 +109,7 @@ func runQuery(t *testing.T, e *Engine, ctx *sim.Ctx, sql string, params ...schem
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	rs, err := e.Query(ctx, sel, params)
+	rs, err := drain(ctx)(e.QueryStream(ctx, sel, params))
 	if err != nil {
 		t.Fatalf("query %q: %v", sql, err)
 	}
@@ -271,7 +282,7 @@ func TestResidualInequalityJoin(t *testing.T) {
 func TestAmbiguousColumnRejected(t *testing.T) {
 	e, ctx := testDB(t)
 	sel := sqlparser.MustParse("SELECT o_id FROM Orders a, Orders b WHERE a.o_id = b.o_id").(*sqlparser.SelectStmt)
-	if _, err := e.Query(ctx, sel, nil); err == nil {
+	if _, err := drain(ctx)(e.QueryStream(ctx, sel, nil)); err == nil {
 		t.Fatal("ambiguous bare column should fail")
 	}
 }
@@ -279,11 +290,11 @@ func TestAmbiguousColumnRejected(t *testing.T) {
 func TestUnknownTableAndColumn(t *testing.T) {
 	e, ctx := testDB(t)
 	sel := sqlparser.MustParse("SELECT * FROM Missing").(*sqlparser.SelectStmt)
-	if _, err := e.Query(ctx, sel, nil); !errors.Is(err, ErrUnknownTable) {
+	if _, err := drain(ctx)(e.QueryStream(ctx, sel, nil)); !errors.Is(err, ErrUnknownTable) {
 		t.Fatalf("err = %v, want ErrUnknownTable", err)
 	}
 	sel = sqlparser.MustParse("SELECT * FROM Customer WHERE nope = 1").(*sqlparser.SelectStmt)
-	if _, err := e.Query(ctx, sel, nil); !errors.Is(err, ErrUnknownColumn) {
+	if _, err := drain(ctx)(e.QueryStream(ctx, sel, nil)); !errors.Is(err, ErrUnknownColumn) {
 		t.Fatalf("err = %v, want ErrUnknownColumn", err)
 	}
 }
@@ -403,7 +414,7 @@ func TestMVCCSnapshotVisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := sqlparser.MustParse("SELECT v FROM T WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := eng.QueryOpts(ctx, sel, []schema.Value{int64(1)}, QueryOpts{Read: hbase.ReadOpts{ReadTS: 15}})
+	rs, err := drain(ctx)(eng.QueryStreamOpts(ctx, sel, []schema.Value{int64(1)}, QueryOpts{Read: hbase.ReadOpts{ReadTS: 15}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,11 +428,11 @@ func TestJoinCostsChargedForHashJoin(t *testing.T) {
 	// Full join (no filters) must be costlier than a filtered one.
 	full, filtered := sim.NewCtx(), sim.NewCtx()
 	sel := sqlparser.MustParse("SELECT * FROM Customer c, Orders o WHERE c.c_id = o.o_c_id").(*sqlparser.SelectStmt)
-	if _, err := e.Query(full, sel, nil); err != nil {
+	if _, err := drain(full)(e.QueryStream(full, sel, nil)); err != nil {
 		t.Fatal(err)
 	}
 	sel2 := sqlparser.MustParse("SELECT * FROM Customer c, Orders o WHERE c.c_id = o.o_c_id AND c.c_id = ?").(*sqlparser.SelectStmt)
-	if _, err := e.Query(filtered, sel2, []schema.Value{int64(1)}); err != nil {
+	if _, err := drain(filtered)(e.QueryStream(filtered, sel2, []schema.Value{int64(1)})); err != nil {
 		t.Fatal(err)
 	}
 	if full.Elapsed() <= filtered.Elapsed() {

@@ -71,7 +71,7 @@ func TestSQLReadBackGolden(t *testing.T) {
 
 	// Full scan, ordered by key.
 	sel := sqlparser.MustParse("SELECT * FROM Item as i ORDER BY i.i_id").(*sqlparser.SelectStmt)
-	rs, err := eng.Query(ctx, sel, nil)
+	rs, err := drain(ctx)(eng.QueryStream(ctx, sel, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSQLReadBackGolden(t *testing.T) {
 	// PK point lookups.
 	point := sqlparser.MustParse("SELECT * FROM Item as i WHERE i.i_id = ?").(*sqlparser.SelectStmt)
 	for _, want := range golden {
-		rs, err := eng.Query(ctx, point, []schema.Value{want["i_id"]})
+		rs, err := drain(ctx)(eng.QueryStream(ctx, point, []schema.Value{want["i_id"]}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestSQLReadBackGolden(t *testing.T) {
 
 	// Index-prefix path.
 	byTitle := sqlparser.MustParse("SELECT * FROM Item as i WHERE i.i_title = ?").(*sqlparser.SelectStmt)
-	rs, err = eng.Query(ctx, byTitle, []schema.Value{"beta"})
+	rs, err = drain(ctx)(eng.QueryStream(ctx, byTitle, []schema.Value{"beta"}))
 	if err != nil {
 		t.Fatal(err)
 	}

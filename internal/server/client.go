@@ -373,8 +373,8 @@ func isEOFPacket(p []byte) bool { return len(p) > 0 && len(p) < 9 && p[0] == 0xf
 
 // readResult consumes one command response: (nil, affected, nil) for OK, a
 // fully drained result set for a row response, an error for ERR. It is the
-// materialized convenience over readResponse/ClientRows, the way the
-// server's Query API drains its own cursor.
+// materialized convenience over readResponse/ClientRows, the way
+// phoenix.DrainCursor drains an engine cursor.
 func (c *Client) readResult(binaryRows bool) (*phoenix.ResultSet, uint64, error) {
 	rows, affected, err := c.readResponse(binaryRows)
 	if err != nil || rows == nil {

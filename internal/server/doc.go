@@ -8,15 +8,20 @@
 // and COM_QUIT. Intentional deviations from the real protocol are listed in
 // docs/PROTOCOL.md.
 //
-// One connection owns one Session — the transaction context. A Session
-// unifies the three engine transaction shapes (synergy.Tx for full
-// deployments, mvcc.SessionTx and occ.SessionTx for engine-direct ones)
-// behind BEGIN/COMMIT/ROLLBACK with autocommit on top: outside an explicit
-// transaction every write runs as its own WAL-logged transaction and every
-// read as its own snapshot. Sessions pick their concurrency mode
-// (`SET synergy_mode`) by switching between the server's named backends —
-// one deployed engine per mode — and their freshness contract
-// (`SET synergy_reads`) per session, never racing on a global default.
+// One connection owns one Session — the transaction context. SystemSession,
+// over a deployed synergy.System, is the one session for all three
+// concurrency modes: synergy.System and synergy.Tx already run hierarchical
+// locking, MVCC and OCC, so the session only adds BEGIN/COMMIT/ROLLBACK
+// with autocommit on top. Outside an explicit transaction every write runs
+// as its own WAL-logged transaction and every read as its own snapshot.
+// Sessions pick their concurrency mode (`SET synergy_mode`) by switching
+// between the server's named backends — one deployed System per mode — and
+// their freshness contract (`SET synergy_reads`) per session, never racing
+// on a global default; the contract carries over a backend switch.
+//
+// Every SELECT runs as a cursor and every result set, sysvar replies
+// included, goes out through one writer. `SET synergy_stream = 0` drains
+// the cursor first and then writes the drained rows the same way.
 //
 // Above the sessions sits the admission Gate: a fixed number of statement
 // execution slots plus a bounded wait queue. Overload queues callers with

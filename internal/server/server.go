@@ -550,68 +550,25 @@ func (c *conn) execStatement(stmt sqlparser.Statement, params []schema.Value, bi
 		}
 	}
 	if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
-		if c.stream {
-			cur, err := c.sess.QueryStream(c.sctx, sel, params)
-			if err != nil {
-				return c.writeEngineErr(err)
-			}
-			return c.writeCursor(cur, binaryRows)
-		}
-		rs, err := c.sess.Query(c.sctx, sel, params)
+		cur, err := c.sess.QueryStream(c.sctx, sel, params)
 		if err != nil {
 			return c.writeEngineErr(err)
 		}
-		return c.writeResultSet(rs, binaryRows, true)
+		if !c.stream {
+			// SET synergy_stream=0: buffer the whole result before the
+			// first packet goes out, so any error is still a clean ERR.
+			rs, err := phoenix.DrainCursor(c.sctx, cur)
+			if err != nil {
+				return c.writeEngineErr(err)
+			}
+			cur = phoenix.NewMaterializedCursor(rs)
+		}
+		return c.writeCursor(cur, binaryRows, true)
 	}
 	if err := c.sess.Exec(c.sctx, stmt, params); err != nil {
 		return c.writeEngineErr(err)
 	}
 	return c.writeOK(0, "")
-}
-
-// writeResultSet encodes rs as a protocol-41 result set (text or binary
-// rows), charging the per-byte transfer cost for the whole response when
-// charged is set. Sysvar introspection passes charged=false so its replies
-// stay cost-free by construction, not by rounding.
-func (c *conn) writeResultSet(rs *phoenix.ResultSet, binaryRows, charged bool) error {
-	types := make([]byte, len(rs.Columns))
-	for i, t := range rs.ColumnTypes() {
-		types[i] = wireTypeOf(t)
-	}
-	pkts := make([][]byte, 0, len(rs.Rows)+len(rs.Columns)+3)
-	pkts = append(pkts, appendLencInt(nil, uint64(len(rs.Columns))))
-	for i, col := range rs.Columns {
-		pkts = append(pkts, columnDef(col, types[i]))
-	}
-	pkts = append(pkts, appendEOF(nil, c.status()))
-	for i, row := range rs.Rows {
-		if i == 0 && charged {
-			// The materialized path's time-to-first-row is the whole
-			// execution: nothing was encoded until the result set was
-			// fully buffered. (Uncharged sysvar replies don't mark — they
-			// would clobber the previous statement's measurement.)
-			c.sctx.MarkFirstRow()
-		}
-		if binaryRows {
-			pkts = append(pkts, appendBinaryRow(nil, rs.Columns, types, row))
-		} else {
-			pkts = append(pkts, appendTextRow(nil, rs.Columns, row))
-		}
-	}
-	pkts = append(pkts, appendEOF(nil, c.status()))
-	if charged {
-		total := 0
-		for _, p := range pkts {
-			total += len(p) + 4
-		}
-		c.sctx.Charge(c.srv.costs.WirePerByte.Mul(total))
-	}
-	for _, p := range pkts {
-		if err := c.pc.writePacket(p); err != nil {
-			return err
-		}
-	}
-	return c.pc.flush()
 }
 
 // writeCursor streams a cursor's rows to the client as a protocol-41 result
@@ -629,9 +586,11 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet, binaryRows, charged bool) e
 // docs/PROTOCOL.md.
 //
 // The per-byte wire cost is charged once for the whole response on success,
-// over the same byte total the materialized writeResultSet computes, keeping
-// simulated time identical across the two paths.
-func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
+// after the last row, so a drained (synergy_stream=0) result costs the same
+// as a streamed one. Sysvar introspection passes charged=false: its replies
+// are cost-free by construction, not by rounding, and do not mark the time
+// to first row — they would clobber the previous statement's measurement.
+func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows, charged bool) error {
 	defer cur.Close(c.sctx)
 	cols := cur.Columns()
 	types := make([]byte, len(cols))
@@ -661,7 +620,7 @@ func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 	}
 
 	raw, rawOK := cur.(phoenix.RawCursor)
-	first := true
+	first := charged
 	for cur.Next(c.sctx) {
 		if first {
 			c.sctx.MarkFirstRow()
@@ -692,7 +651,9 @@ func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 	}
 	b = appendEOF(b[:0], c.status())
 	total += len(b) + 4
-	c.sctx.Charge(c.srv.costs.WirePerByte.Mul(total))
+	if charged {
+		c.sctx.Charge(c.srv.costs.WirePerByte.Mul(total))
+	}
 	if err := c.pc.writePacket(b); err != nil {
 		return err
 	}
@@ -729,15 +690,13 @@ func (c *conn) handleSet(rest string) error {
 	case "synergy_mode":
 		return c.switchMode(val)
 	case "synergy_reads":
-		switch strings.ToLower(val) {
-		case "stale":
-			c.sess.SetReads(synergy.ReadStale)
-		case "watermark":
-			c.sess.SetReads(synergy.ReadWatermark)
-		default:
+		name := strings.ToLower(val)
+		m, ok := readModes[name]
+		if !ok {
 			return c.writeErrPacket(errWrongVarVal, "42000", fmt.Sprintf("bad synergy_reads value %q (stale|watermark)", val))
 		}
-		c.readsName = strings.ToLower(val)
+		c.sess.SetReads(m)
+		c.readsName = name
 	case "synergy_stream":
 		on := val == "1" || strings.EqualFold(val, "on")
 		off := val == "0" || strings.EqualFold(val, "off")
@@ -752,8 +711,16 @@ func (c *conn) handleSet(rest string) error {
 	return c.writeOK(0, "")
 }
 
+// readModes maps the `SET synergy_reads` values onto freshness contracts.
+var readModes = map[string]synergy.ViewReadMode{
+	"stale":     synergy.ReadStale,
+	"watermark": synergy.ReadWatermark,
+}
+
 // switchMode rebinds the session to another backend. Prepared statements
-// survive: they are parsed SQL plus a parameter count, engine-agnostic.
+// survive: they are parsed SQL plus a parameter count, engine-agnostic. So
+// does a `SET synergy_reads` choice, as MySQL session variables survive
+// `USE db`.
 func (c *conn) switchMode(val string) error {
 	name := strings.ToLower(strings.TrimSpace(val))
 	if name == "" || name == "synergy" {
@@ -771,6 +738,9 @@ func (c *conn) switchMode(val string) error {
 	}
 	c.sess.Close(c.sctx)
 	c.sess = b.NewSession()
+	if m, ok := readModes[c.readsName]; ok {
+		c.sess.SetReads(m)
+	}
 	c.backendName = name
 	return c.writeOK(0, "")
 }
@@ -822,7 +792,7 @@ func (c *conn) handleSysVar(rest string) error {
 	}
 	col := "@@" + name
 	rs := &phoenix.ResultSet{Columns: []string{col}, Rows: []schema.Row{{col: v}}}
-	return c.writeResultSet(rs, false, false)
+	return c.writeCursor(phoenix.NewMaterializedCursor(rs), false, false)
 }
 
 // --------------------------------------------------------------------------

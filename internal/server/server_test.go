@@ -13,8 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"synergy/internal/mvcc"
-	"synergy/internal/occ"
 	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -91,8 +89,7 @@ type testEnv struct {
 }
 
 // startServer deploys one system per concurrency mode and serves them as
-// backends hier/mvcc/occ (plus engine-direct mvccdirect/occdirect adapters)
-// over an in-process listener.
+// backends hier/mvcc/occ over an in-process listener.
 func startServer(t *testing.T, cfg Config) *testEnv {
 	t.Helper()
 	env := &testEnv{addr: t.Name(), systems: map[string]*synergy.System{}}
@@ -101,17 +98,10 @@ func startServer(t *testing.T, cfg Config) *testEnv {
 	} {
 		env.systems[name] = deploySystem(t, mode)
 	}
-	mv, oc := env.systems["mvcc"], env.systems["occ"]
 	cfg.Backends = []Backend{
 		SystemBackend("hier", env.systems["hier"]),
-		SystemBackend("mvcc", mv),
-		SystemBackend("occ", oc),
-		{Name: "mvccdirect", NewSession: func() Session {
-			return NewMVCCSession(mvcc.NewSession(mv.Engine, mv.MVCCServer))
-		}},
-		{Name: "occdirect", NewSession: func() Session {
-			return NewOCCSession(occ.NewSession(oc.Engine, oc.OCC))
-		}},
+		SystemBackend("mvcc", env.systems["mvcc"]),
+		SystemBackend("occ", env.systems["occ"]),
 	}
 	cfg.Default = "hier"
 	srv, err := New(cfg)
@@ -223,33 +213,6 @@ func TestWireParity(t *testing.T) {
 	}
 }
 
-// TestEngineDirectBackends exercises the mvcc.SessionTx / occ.SessionTx
-// adapters end to end.
-func TestEngineDirectBackends(t *testing.T) {
-	env := startServer(t, Config{})
-	for _, mode := range []string{"mvccdirect", "occdirect"} {
-		t.Run(mode, func(t *testing.T) {
-			c := env.dial(t, mode)
-			if err := c.Begin(); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Exec("UPDATE Root SET RVal = 'direct' WHERE RID = 3"); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			rs, err := c.Query("SELECT RVal FROM Root WHERE RID = 3")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rs.Rows) != 1 || rs.Rows[0]["RVal"] != "direct" {
-				t.Fatalf("unexpected rows %v", rs.Rows)
-			}
-		})
-	}
-}
-
 // TestRollbackDiscards checks explicit ROLLBACK leaves no trace.
 func TestRollbackDiscards(t *testing.T) {
 	env := startServer(t, Config{})
@@ -279,38 +242,42 @@ func TestRollbackDiscards(t *testing.T) {
 	}
 }
 
-// TestStatementErrorAbortsTxn checks the MySQL-deadlock-style contract: a
-// statement error inside an open transaction rolls the whole transaction
-// back and the error says so.
+// TestStatementErrorAbortsTxn checks the MySQL-deadlock-style contract in
+// every concurrency mode: a statement error inside an open transaction rolls
+// the whole transaction back and the error says so.
 func TestStatementErrorAbortsTxn(t *testing.T) {
 	env := startServer(t, Config{})
-	c := env.dial(t, "hier")
-	if err := c.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Exec("INSERT INTO Leaf (LID, L_RID, LVal) VALUES (600, 1, 'pre-error')"); err != nil {
-		t.Fatal(err)
-	}
-	err := c.Exec("INSERT INTO Nonexistent (X) VALUES (1)")
-	var me *MySQLError
-	if !errors.As(err, &me) || me.Code != errUnknownTable {
-		t.Fatalf("want error %d, got %v", errUnknownTable, err)
-	}
-	// COMMIT after the implicit rollback is a no-op OK, and the pre-error
-	// write is gone.
-	if err := c.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Prepare(testSelect)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := st.Query("pre-error")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Rows) != 0 {
-		t.Fatalf("aborted transaction's write visible: %v", rs.Rows)
+	for _, mode := range []string{"hier", "mvcc", "occ"} {
+		t.Run(mode, func(t *testing.T) {
+			c := env.dial(t, mode)
+			if err := c.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Exec("INSERT INTO Leaf (LID, L_RID, LVal) VALUES (600, 1, 'pre-error')"); err != nil {
+				t.Fatal(err)
+			}
+			err := c.Exec("INSERT INTO Nonexistent (X) VALUES (1)")
+			var me *MySQLError
+			if !errors.As(err, &me) || me.Code != errUnknownTable {
+				t.Fatalf("want error %d, got %v", errUnknownTable, err)
+			}
+			// COMMIT after the implicit rollback is a no-op OK, and the
+			// pre-error write is gone.
+			if err := c.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			st, err := c.Prepare(testSelect)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := st.Query("pre-error")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rs.Rows) != 0 {
+				t.Fatalf("aborted transaction's write visible: %v", rs.Rows)
+			}
+		})
 	}
 }
 
@@ -525,6 +492,33 @@ func TestSessionVariables(t *testing.T) {
 	if err := c.Exec("SET synergy_reads = 'sometimes'"); err == nil {
 		t.Fatal("bad reads value accepted")
 	}
+	// A backend switch — SET synergy_mode or COM_INIT_DB — opens a fresh
+	// session; the freshness choice carries over, as MySQL session
+	// variables survive USE db.
+	initDB := func(db string) error {
+		if err := c.command(append([]byte{comInitDB}, db...)); err != nil {
+			return err
+		}
+		_, _, err := c.readResult(false)
+		return err
+	}
+	for _, sw := range []struct {
+		mode  string
+		apply func() error
+	}{
+		{"mvcc", func() error { return c.Exec("SET synergy_mode = 'mvcc'") }},
+		{"hier", func() error { return initDB("hier") }},
+	} {
+		if err := sw.apply(); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := c.SysVar("synergy_mode"); v != sw.mode {
+			t.Fatalf("mode after switch %v, want %s", v, sw.mode)
+		}
+		if got := liveSessionReads(t, env.srv); got != synergy.ReadWatermark {
+			t.Fatalf("%s session reads %v after the switch, want ReadWatermark", sw.mode, got)
+		}
+	}
 
 	// Unknown SETs are tolerated (client handshake chatter)...
 	if err := c.Exec("SET NAMES utf8"); err != nil {
@@ -552,6 +546,22 @@ func TestSessionVariables(t *testing.T) {
 	if after <= a {
 		t.Fatalf("query did not accrue cost: %d -> %d", a, after)
 	}
+}
+
+// liveSessionReads reports the freshness contract of the session behind
+// srv's only live connection. The reply to the connection's last command
+// was written after any session rebind, so reading here is ordered.
+func liveSessionReads(t *testing.T, srv *Server) synergy.ViewReadMode {
+	t.Helper()
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.conns) != 1 {
+		t.Fatalf("%d live connections, want 1", len(srv.conns))
+	}
+	for c := range srv.conns {
+		return c.sess.(*SystemSession).reads
+	}
+	return 0
 }
 
 // TestAutocommitToggle checks SET autocommit=0 opens implicit transactions
@@ -899,5 +909,21 @@ func TestSysVarUncosted(t *testing.T) {
 	after := rs.Rows[0]["@@synergy_sim_micros"].(int64)
 	if after != before {
 		t.Fatalf("sysvar reads charged %d simulated micros, want 0", after-before)
+	}
+
+	// A sysvar reply is a one-row result, yet it must not mark time to
+	// first row: after an empty SELECT the measurement stays 0.
+	rs, err = c.Query("SELECT RVal FROM Root WHERE RID = 999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rows) != 0 {
+		t.Fatalf("want an empty result, got %v", rs.Rows)
+	}
+	if _, err := c.Query("SELECT @@version"); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.SysVar("synergy_sim_ttfr_micros"); err != nil || v != int64(0) {
+		t.Fatalf("@@synergy_sim_ttfr_micros = %v (%v) after an empty SELECT, want 0", v, err)
 	}
 }

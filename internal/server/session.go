@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"synergy/internal/mvcc"
-	"synergy/internal/occ"
 	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -16,10 +14,9 @@ import (
 // ErrTxnOpen reports BEGIN while a transaction is already open.
 var ErrTxnOpen = errors.New("server: transaction already open")
 
-// Session is one connection's transaction context, unifying the engine's
-// three transaction shapes — synergy.Tx (full deployments, any concurrency
-// mode), mvcc.SessionTx and occ.SessionTx (engine-direct deployments) —
-// behind one interface.
+// Session is one connection's transaction context. SystemSession, over a
+// deployed synergy.System, is the implementation for all three concurrency
+// modes; the interface lets a caller wrap it (e.g. to time each call).
 //
 // Outside an explicit transaction the session runs in autocommit: each
 // write executes as its own transaction through the deployment's normal
@@ -30,15 +27,13 @@ var ErrTxnOpen = errors.New("server: transaction already open")
 // handling: the error surfaces to the client and the session is back in
 // autocommit.
 type Session interface {
-	// Query runs a SELECT — inside the open transaction when there is one
-	// (reading the transaction's own buffered writes), else against a fresh
-	// snapshot.
-	Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error)
-	// QueryStream is Query returning a streaming cursor: rows are pulled
-	// off the region scanner as the caller iterates, so peak memory is one
-	// scan chunk for streamable shapes. The caller must Close the cursor
-	// and check its error — for autocommit snapshot reads under MVCC,
-	// Close is what settles the wrapping transaction.
+	// QueryStream runs a SELECT as a streaming cursor — inside the open
+	// transaction when there is one (reading the transaction's own
+	// buffered writes), else against a fresh snapshot. Rows are pulled off
+	// the region scanner as the caller iterates, so peak memory is one scan
+	// chunk for streamable shapes. The caller must Close the cursor and
+	// check its error — for autocommit snapshot reads under MVCC, Close is
+	// what settles the wrapping transaction.
 	QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (phoenix.RowCursor, error)
 	// Exec runs a write statement — buffered into the open transaction when
 	// there is one, else as its own autocommitted transaction.
@@ -58,9 +53,6 @@ type Session interface {
 	// resources; the connection teardown path calls it unconditionally.
 	Close(ctx *sim.Ctx) error
 }
-
-// --------------------------------------------------------------------------
-// SystemSession: the full synergy.System path.
 
 // SystemSession drives a deployed synergy.System: queries run their
 // view-based rewrite with the session's freshness contract, autocommit
@@ -97,15 +89,6 @@ func (s *SystemSession) Begin(ctx *sim.Ctx) error {
 	}
 	s.tx = s.sys.BeginTx(ctx)
 	return nil
-}
-
-// Query runs a SELECT inside the open transaction or against a fresh
-// snapshot.
-func (s *SystemSession) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	if s.tx != nil {
-		return s.tx.QueryWithReads(ctx, sel, params, s.reads)
-	}
-	return s.sys.QueryWithReads(ctx, sel, params, s.reads)
 }
 
 // QueryStream runs a SELECT as a streaming cursor, inside the open
@@ -169,175 +152,3 @@ func (s *SystemSession) Close(ctx *sim.Ctx) error { return s.Rollback(ctx) }
 func (s *SystemSession) clear() {
 	s.tx, s.stmts, s.params = nil, nil, nil
 }
-
-// --------------------------------------------------------------------------
-// MVCCSession: engine-direct Tephra-style sessions (views disabled).
-
-// MVCCSession adapts mvcc.Session / mvcc.SessionTx — the engine-direct path
-// the Baseline and MVCC-UA deployments use, with no view maintenance stack.
-type MVCCSession struct {
-	sess *mvcc.Session
-	tx   *mvcc.SessionTx
-}
-
-// NewMVCCSession opens a session over an MVCC engine binding.
-func NewMVCCSession(sess *mvcc.Session) *MVCCSession { return &MVCCSession{sess: sess} }
-
-// SetReads is a no-op: engine-direct deployments have no async views.
-func (s *MVCCSession) SetReads(synergy.ViewReadMode) {}
-
-// InTxn reports whether an interactive transaction is open.
-func (s *MVCCSession) InTxn() bool { return s.tx != nil }
-
-// Begin opens an interactive snapshot transaction.
-func (s *MVCCSession) Begin(ctx *sim.Ctx) error {
-	if s.tx != nil {
-		return ErrTxnOpen
-	}
-	s.tx = s.sess.BeginTxn(ctx)
-	return nil
-}
-
-// Query runs a SELECT inside the open transaction or as its own snapshot
-// transaction.
-func (s *MVCCSession) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	if s.tx != nil {
-		return s.tx.Query(ctx, sel, params)
-	}
-	return s.sess.Query(ctx, sel, params)
-}
-
-// QueryStream runs a SELECT as a streaming cursor, inside the open
-// transaction or as its own snapshot transaction (settled by Close).
-func (s *MVCCSession) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (phoenix.RowCursor, error) {
-	if s.tx != nil {
-		return s.tx.QueryStream(ctx, sel, params)
-	}
-	return s.sess.QueryStream(ctx, sel, params)
-}
-
-// Exec runs a write statement; an error inside an open transaction aborts
-// it (see Session).
-func (s *MVCCSession) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
-	if s.tx == nil {
-		return s.sess.Exec(ctx, stmt, params)
-	}
-	if err := s.tx.Exec(ctx, stmt, params); err != nil {
-		tx := s.tx
-		s.tx = nil
-		tx.Abort(ctx)
-		return fmt.Errorf("%w (transaction rolled back)", err)
-	}
-	return nil
-}
-
-// Commit commits the open transaction.
-func (s *MVCCSession) Commit(ctx *sim.Ctx) error {
-	if s.tx == nil {
-		return nil
-	}
-	tx := s.tx
-	s.tx = nil
-	return tx.Commit(ctx)
-}
-
-// Rollback aborts the open transaction.
-func (s *MVCCSession) Rollback(ctx *sim.Ctx) error {
-	if s.tx == nil {
-		return nil
-	}
-	tx := s.tx
-	s.tx = nil
-	tx.Abort(ctx)
-	return nil
-}
-
-// Close aborts any open transaction.
-func (s *MVCCSession) Close(ctx *sim.Ctx) error { return s.Rollback(ctx) }
-
-// --------------------------------------------------------------------------
-// OCCSession: engine-direct optimistic sessions (views disabled).
-
-// OCCSession adapts occ.Session / occ.SessionTx: statements buffer against
-// a begin-timestamp snapshot and Commit validates backward — a conflict
-// surfaces as occ.ErrConflict (wire error 1213) with nothing applied.
-type OCCSession struct {
-	sess *occ.Session
-	tx   *occ.SessionTx
-}
-
-// NewOCCSession opens a session over an OCC engine binding.
-func NewOCCSession(sess *occ.Session) *OCCSession { return &OCCSession{sess: sess} }
-
-// SetReads is a no-op: engine-direct deployments have no async views.
-func (s *OCCSession) SetReads(synergy.ViewReadMode) {}
-
-// InTxn reports whether an interactive transaction is open.
-func (s *OCCSession) InTxn() bool { return s.tx != nil }
-
-// Begin opens an interactive optimistic transaction.
-func (s *OCCSession) Begin(ctx *sim.Ctx) error {
-	if s.tx != nil {
-		return ErrTxnOpen
-	}
-	s.tx = s.sess.BeginTxn(ctx)
-	return nil
-}
-
-// Query runs a SELECT inside the open transaction (joining its read set) or
-// against a fresh snapshot.
-func (s *OCCSession) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	if s.tx != nil {
-		return s.tx.Query(ctx, sel, params)
-	}
-	return s.sess.Query(ctx, sel, params)
-}
-
-// QueryStream runs a SELECT as a streaming cursor, inside the open
-// transaction (its scan ranges joining the read set) or against a fresh
-// snapshot.
-func (s *OCCSession) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (phoenix.RowCursor, error) {
-	if s.tx != nil {
-		return s.tx.QueryStream(ctx, sel, params)
-	}
-	return s.sess.QueryStream(ctx, sel, params)
-}
-
-// Exec runs a write statement; an error inside an open transaction aborts
-// it (see Session).
-func (s *OCCSession) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
-	if s.tx == nil {
-		return s.sess.Exec(ctx, stmt, params)
-	}
-	if err := s.tx.Exec(ctx, stmt, params); err != nil {
-		tx := s.tx
-		s.tx = nil
-		tx.Abort(ctx)
-		return fmt.Errorf("%w (transaction rolled back)", err)
-	}
-	return nil
-}
-
-// Commit validates and commits the open transaction.
-func (s *OCCSession) Commit(ctx *sim.Ctx) error {
-	if s.tx == nil {
-		return nil
-	}
-	tx := s.tx
-	s.tx = nil
-	return tx.Commit(ctx)
-}
-
-// Rollback aborts the open transaction.
-func (s *OCCSession) Rollback(ctx *sim.Ctx) error {
-	if s.tx == nil {
-		return nil
-	}
-	tx := s.tx
-	s.tx = nil
-	tx.Abort(ctx)
-	return nil
-}
-
-// Close aborts any open transaction.
-func (s *OCCSession) Close(ctx *sim.Ctx) error { return s.Rollback(ctx) }

@@ -65,7 +65,7 @@ func TestStreamedMaterializedParity(t *testing.T) {
 		{"aggregate", "SELECT COUNT(*) AS n, MAX(LID) AS hi FROM Leaf"},
 		{"join", "SELECT * FROM Root as r, Leaf as l WHERE r.RID = l.L_RID and l.LVal = 'l3'"},
 	}
-	for _, mode := range []string{"hier", "mvcc", "occ", "mvccdirect", "occdirect"} {
+	for _, mode := range []string{"hier", "mvcc", "occ"} {
 		t.Run(mode, func(t *testing.T) {
 			c := env.dial(t, mode)
 			for _, shape := range shapes {

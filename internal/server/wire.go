@@ -160,9 +160,9 @@ func columnDef(name string, wireType byte) []byte {
 
 // Row encoders append onto a caller-owned scratch buffer: the connection
 // reuses one slice across rows and statements, so the steady-state row
-// encode path performs no allocations. All paths — materialized result sets,
-// streamed cursors (decoded and raw) — share these appenders, which is what
-// keeps the streamed wire bytes identical to the materialized encoder by
+// encode path performs no allocations. Every result set — drained or
+// streamed, decoded or raw — goes through writeCursor and these appenders,
+// which is what keeps the streamed and drained wire bytes identical by
 // construction.
 
 // appendTextValue appends one text-protocol value (lenc string or 0xfb NULL).

@@ -272,7 +272,12 @@ func TestConcurrentWritersSerializeOnRootLock(t *testing.T) {
 	// Both employees must have a consistent final name in base and views.
 	for _, eid := range []int64{2, 6} {
 		base, _ := sqlparser.ParseSelect("SELECT EName FROM Employee WHERE EID = ?")
-		rs, err := sys.Engine.Query(sim.NewCtx(), base, []schema.Value{eid})
+		ctx := sim.NewCtx()
+		cur, err := sys.Engine.QueryStream(ctx, base, []schema.Value{eid})
+		var rs *phoenix.ResultSet
+		if err == nil {
+			rs, err = phoenix.DrainCursor(ctx, cur)
+		}
 		if err != nil || len(rs.Rows) != 1 {
 			t.Fatalf("base read: %v %v", rs, err)
 		}

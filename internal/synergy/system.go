@@ -443,7 +443,7 @@ func (sys *System) maintModeFor(view string) MaintenanceMode {
 // SetAsyncReadMode switches how reads treat asynchronously maintained views
 // (the bench harness flips one system between ReadStale probes and
 // ReadWatermark barriers). Not safe to call concurrently with queries —
-// concurrent callers with different needs use QueryWithReads instead.
+// concurrent callers with different needs use QueryStreamWithReads instead.
 func (sys *System) SetAsyncReadMode(m ViewReadMode) { sys.cfg.AsyncReads = m }
 
 // Concurrency reports the deployment's concurrency control mechanism. The
@@ -508,31 +508,10 @@ func (sys *System) staleObserver(readTS int64, reads ViewReadMode) func(*sim.Ctx
 	}
 }
 
-// Query executes a read. Workload queries run their view-based rewrite;
-// reads go directly to the HBase layer (Figure 7). Under hierarchical
-// locking the dirty-read restart protocol guards view scans (§VIII-C); under
-// MVCC the read runs inside a snapshot transaction; under OCC it runs
-// against a begin-timestamp snapshot — read-only snapshot reads are
-// serializable as of their begin point and need no validation, and the
-// snapshot horizon hides commits still flushing, so no dirty marking is
-// needed either.
-//
-// Asynchronously maintained views add a freshness gate. In ReadWatermark
-// mode the query waits — before its snapshot is taken, so the snapshot
-// includes the applied deltas under every concurrency mode — until each
-// async view it touches covers the read's arrival point. In ReadStale mode
-// the query runs immediately and records the observed lag per view.
+// Query executes a read at the configured freshness default and drains it
+// into a ResultSet. See QueryStreamWithReads.
 func (sys *System) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	return sys.QueryWithReads(ctx, sel, params, sys.cfg.AsyncReads)
-}
-
-// QueryWithReads is Query with an explicit freshness contract for the async
-// views the query touches, overriding the configured default for this call
-// only. Serving-layer sessions thread their per-session `SET synergy_reads`
-// choice through it, so concurrent sessions with different contracts never
-// race on the system-wide default.
-func (sys *System) QueryWithReads(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, reads ViewReadMode) (*phoenix.ResultSet, error) {
-	cur, err := sys.QueryStreamWithReads(ctx, sel, params, reads)
+	cur, err := sys.QueryStream(ctx, sel, params)
 	if err != nil {
 		return nil, err
 	}
@@ -545,15 +524,30 @@ func (sys *System) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params [
 	return sys.QueryStreamWithReads(ctx, sel, params, sys.cfg.AsyncReads)
 }
 
-// QueryStreamWithReads is QueryWithReads returning a cursor instead of a
-// materialized result: non-blocking single-table shapes stream directly off
-// the region scanner, so peak memory is one scan chunk regardless of result
-// size. The snapshot semantics are identical to QueryWithReads — under MVCC
-// the read runs inside a snapshot transaction that stays open for the
-// cursor's lifetime and is settled by Close (committed on a clean drain,
-// aborted if the cursor saw an error); OCC and hierarchical reads carry no
-// per-read transaction state, so their cursors only release the scanner.
-// The caller must Close the cursor and check its error.
+// QueryStreamWithReads executes a read as a streaming cursor, with an
+// explicit freshness contract for the async views the query touches.
+// Serving-layer sessions thread their per-session `SET synergy_reads` choice
+// through it, so concurrent sessions with different contracts never race on
+// the system-wide default.
+//
+// Workload queries run their view-based rewrite; reads go directly to the
+// HBase layer (Figure 7). Non-blocking single-table shapes stream directly
+// off the region scanner, so peak memory is one scan chunk regardless of
+// result size. Under hierarchical locking the dirty-read restart protocol
+// guards view scans (§VIII-C). Under MVCC the read runs inside a snapshot
+// transaction that stays open for the cursor's lifetime and is settled by
+// Close (committed on a clean drain, aborted if the cursor saw an error).
+// Under OCC it runs against a begin-timestamp snapshot — read-only snapshot
+// reads are serializable as of their begin point and need no validation,
+// and the snapshot horizon hides commits still flushing, so no dirty marking
+// is needed either. OCC and hierarchical cursors only release the scanner on
+// Close. The caller must Close the cursor and check its error.
+//
+// Asynchronously maintained views add a freshness gate. In ReadWatermark
+// mode the query waits — before its snapshot is taken, so the snapshot
+// includes the applied deltas under every concurrency mode — until each
+// async view it touches covers the read's arrival point. In ReadStale mode
+// the query runs immediately and records the observed lag per view.
 func (sys *System) QueryStreamWithReads(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
 	stmt := sys.rewriteFor(sel)
 	if sys.Feed != nil && reads == ReadWatermark {
